@@ -40,14 +40,23 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _env_int(name: str, default: int | None) -> int | None:
-    raw = os.environ.get(f"RBTURAN_{name}")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"RBTURAN_{name} must be an integer, got {raw!r}")
+def _int_at_least(low: int, env: str):
+    """argparse type for an integer option >= low.  argparse also applies it
+    to a string default, so a malformed RBTURAN_<env> value is a usage error
+    (exit 2) just like a malformed flag."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {low} (default from RBTURAN_{env}), got {raw!r}"
+        )
+
+    return parse
 
 
 def _emit(doc: dict[str, Any], summary: str) -> None:
@@ -312,6 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"rbturan {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    jobs = _int_at_least(1, "JOBS")
+    budget = _int_at_least(0, "BUDGET_NODES")
 
     p = sub.add_parser("detect", help="find a rainbow path in a colored graph")
     p.add_argument("-k", type=int, required=True, help="path vertex count")
@@ -323,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph6", help="inline graph6 text")
     p.add_argument("--input", help="graph6 or colored-graph JSON file")
     p.add_argument("--max-colors", type=int, default=None)
-    p.add_argument("--budget-nodes", type=int, default=_env_int("BUDGET_NODES", None))
+    p.add_argument("--budget-nodes", type=budget, default=os.environ.get("RBTURAN_BUDGET_NODES"))
     p.set_defaults(func=_cmd_color)
 
     p = sub.add_parser("lemma", help="verify a coloring-scheme lemma by enumeration")
@@ -344,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extremal", help="compute the certified extremal value")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=_env_int("JOBS", 1))
-    p.add_argument("--budget-nodes", type=int, default=_env_int("BUDGET_NODES", None))
+    p.add_argument("--jobs", type=jobs, default=os.environ.get("RBTURAN_JOBS", "1"))
+    p.add_argument("--budget-nodes", type=budget, default=os.environ.get("RBTURAN_BUDGET_NODES"))
     p.add_argument("--from-graph6", default=None, help="candidate source file")
     p.add_argument("--expect", type=int, default=None, help="fail unless value matches")
     p.set_defaults(func=_cmd_extremal)
@@ -354,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=_env_int("JOBS", 1))
-    p.add_argument("--budget-nodes", type=int, default=_env_int("BUDGET_NODES", None))
+    p.add_argument("--jobs", type=jobs, default=os.environ.get("RBTURAN_JOBS", "1"))
+    p.add_argument("--budget-nodes", type=budget, default=os.environ.get("RBTURAN_BUDGET_NODES"))
     p.add_argument("--from-graph6", default=None)
     p.add_argument("--no-reduced", action="store_true", help="drop the reduction filter")
     p.add_argument("--no-planar", action="store_true", help="drop the planarity filter")

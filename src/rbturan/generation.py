@@ -1,16 +1,32 @@
-"""Isomorph-free exhaustive generation of small graphs.
+"""Isomorph-free exhaustive generation of small graphs by canonical augmentation.
 
 Graphs on a fixed vertex count are generated level by level in the edge
-count, one edge added at a time, with isomorph rejection through a
-canonical form: the lexicographically smallest graph6 bit vector over all
-vertex relabelings, found by prefix-pruned backtracking.  This is only
-meant for desk scale (n <= 10); larger candidate sets come from graph6
-files produced by external generators.
+count, one edge added at a time, along McKay's canonical construction path
+("Isomorph-free exhaustive generation", J. Algorithms 1998).  A child G+e
+of a parent class G is accepted only when e lies in the Aut(G+e)-orbit of
+the child's canonical deletion edge: among the edges with the largest
+invariant (sorted endpoint degrees, common-neighbour count), the one whose
+endpoints, individualised as a pair, give the largest canonical code.
+Every class then has exactly one accepted parent class, so isomorphic
+children can only come from the same parent and are deduplicated there.
+
+Canonical codes come from one individualisation-refinement routine in the
+style of McKay & Piperno ("Practical graph isomorphism II", 2014): refine
+an ordered vertex partition to an equitable one, individualise each vertex
+of the first non-singleton cell in turn, refine again, and keep the largest
+adjacency code over the leaves.  Inside the ladder graphs are tuples of
+adjacency bitmasks; each class is emitted as a Graph in its canonical
+labelling and every level is sorted by canonical code, so a level depends
+only on the set of classes it holds.  This is meant for desk scale
+(n <= 10); larger candidate sets come from graph6 files produced by
+external generators.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, build_graph
+from typing import Sequence
+
+from .graphs import Graph, GraphError, build_graph, components
 
 CANONICAL_MAX_N = 10
 
@@ -22,133 +38,162 @@ def relabel(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
-def _vertex_profiles(g: Graph) -> list[tuple]:
-    """Per-vertex isomorphism-invariant profile: degree, triangle count,
-    and the sorted neighbor degree multiset."""
-    adj = g.adj
-    deg = [len(a) for a in adj]
-    masks = [0] * g.n
+def _masks(g: Graph) -> list[int]:
+    """Adjacency bitmask of every vertex."""
+    adj = [0] * g.n
     for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return [
-        (
-            deg[v],
-            sum((masks[v] & masks[w]).bit_count() for w in adj[v]) // 2,
-            tuple(sorted(deg[w] for w in adj[v])),
-        )
-        for v in range(g.n)
-    ]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
-def canonical_form(g: Graph) -> tuple:
+def _refine(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]:
+    """Coarsest equitable refinement of an ordered partition.
+
+    Cells are vertex bitmasks.  Each splitter taken from the queue splits
+    every cell by the neighbour count of its vertices in the splitter; the
+    parts replace the cell in ascending count order and join the queue.
+    Every choice depends on cell positions and counts, never on vertex
+    labels, so the result commutes with relabelling.
+    """
+    n = len(adj)
+    i = 0
+    while i < len(queue) and len(cells) < n:
+        w = queue[i]
+        i += 1
+        out = []
+        for c in cells:
+            if not c & (c - 1):
+                out.append(c)
+                continue
+            parts: dict[int, int] = {}
+            x = c
+            while x:
+                b = x & -x
+                x ^= b
+                k = (adj[b.bit_length() - 1] & w).bit_count()
+                parts[k] = parts.get(k, 0) | b
+            if len(parts) == 1:
+                out.append(c)
+                continue
+            for k in sorted(parts):
+                out.append(parts[k])
+                queue.append(parts[k])
+        cells = out
+    return cells
+
+
+def _leaf_code(adj: Sequence[int], cells: list[int]) -> int:
+    """Adjacency rows under the vertex order of a discrete partition,
+    concatenated with row 0 most significant."""
+    n = len(adj)
+    lab = [c.bit_length() - 1 for c in cells]
+    pos = [0] * n
+    for i, v in enumerate(lab):
+        pos[v] = i
+    code = 0
+    for v in lab:
+        row = 0
+        x = adj[v]
+        while x:
+            b = x & -x
+            x ^= b
+            row |= 1 << pos[b.bit_length() - 1]
+        code = (code << n) | row
+    return code
+
+
+def _canonical_code(adj: Sequence[int], cells: list[int]) -> int:
+    """Largest leaf code of the individualisation-refinement tree rooted at
+    the ordered partition `cells`.
+
+    Two vertices of one cell that have equal neighbourhoods outside each
+    other are twins: swapping them is an automorphism fixing every
+    individualised vertex, so only the first of them is individualised.
+    """
+    n = len(adj)
+    best = 0
+    stack = [_refine(adj, cells, list(cells))]
+    while stack:
+        cells = stack.pop()
+        if len(cells) == n:
+            best = max(best, _leaf_code(adj, cells))
+            continue
+        i = next(i for i, c in enumerate(cells) if c & (c - 1))
+        target = cells[i]
+        tried: list[tuple[int, int]] = []
+        x = target
+        while x:
+            b = x & -x
+            x ^= b
+            av = adj[b.bit_length() - 1]
+            if any(not (au ^ av) & ~(bu | b) for au, bu in tried):
+                continue
+            tried.append((av, b))
+            stack.append(_refine(adj, cells[:i] + [b, target ^ b] + cells[i + 1 :], [b]))
+    return best
+
+
+def canonical_form(g: Graph) -> tuple[int, int]:
     """Canonical certificate: equal exactly for isomorphic graphs.
 
-    Vertices are first partitioned into invariant classes; the certificate
-    is that class structure together with the lexicographically largest
-    adjacency column vector over all class-respecting relabelings, found
-    by prefix-pruned backtracking.  Maximizing packs edges into the
-    prefix, which shatters the search quickly on sparse graphs.
+    The vertex count and the largest adjacency code over the leaves of the
+    search tree rooted at the degree partition.
     """
     n = g.n
     if n > CANONICAL_MAX_N:
         raise GraphError(f"canonical_form guard: n={n} > {CANONICAL_MAX_N}")
-    profiles = _vertex_profiles(g)
-    if n <= 1:
-        return (tuple(profiles), ())
-    # slots are allotted class by class, classes ordered by their profile
-    by_class: dict[tuple, list[int]] = {}
-    for v, p in enumerate(profiles):
-        by_class.setdefault(p, []).append(v)
-    class_order = sorted(by_class, reverse=True)
-    slot_class: list[list[int]] = []
-    for p in class_order:
-        slot_class.extend([by_class[p]] * len(by_class[p]))
-    masks = [0] * n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    best: tuple[int, ...] | None = None
-    perm = [0] * n
-    cols = [0] * n
-    used = [False] * n
-
-    def rec(j: int) -> None:
-        nonlocal best
-        if j == n:
-            cand = tuple(cols[1:])
-            if best is None or cand > best:
-                best = cand
-            return
-        cands = []
-        for w in slot_class[j]:
-            if used[w]:
-                continue
-            mw = masks[w]
-            col = 0
-            for i in range(j):
-                col = (col << 1) | ((mw >> perm[i]) & 1)
-            cands.append((col, w))
-        cands.sort(reverse=True)
-        for col, w in cands:
-            if best is not None:
-                # best may have improved during earlier candidates; compare
-                # the fixed node prefix against it afresh
-                cmpv = 0
-                for i in range(1, j):
-                    if cols[i] != best[i - 1]:
-                        cmpv = 1 if cols[i] > best[i - 1] else -1
-                        break
-                if cmpv == -1:
-                    break  # prefix now beaten: no completion can win
-                if cmpv == 0 and j > 0 and col < best[j - 1]:
-                    break  # descending candidates: the rest are worse
-            cols[j] = col
-            perm[j] = w
-            used[w] = True
-            rec(j + 1)
-            used[w] = False
-
-    rec(0)
-    assert best is not None
-    class_sig = tuple((p, len(by_class[p])) for p in class_order)
-    return (class_sig, best)
+    return (n, _canonical_code(_masks(g), [(1 << n) - 1] if n else []))
 
 
-def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
-    return (g.n, canonical_form(g))
+def _pair_code(adj: Sequence[int], x: int, y: int) -> int:
+    """Canonical code of the graph with the pair {x, y} individualised as
+    its first cell.  Equal for two edges iff an automorphism maps one onto
+    the other."""
+    pair = (1 << x) | (1 << y)
+    return _canonical_code(adj, [pair, ((1 << len(adj)) - 1) ^ pair])
 
 
-def _iso_invariant(g: Graph) -> tuple:
-    """Cheap isomorphism invariant.  Graphs with distinct invariants are
-    non-isomorphic; collisions fall back to canonical forms."""
-    return tuple(sorted(_vertex_profiles(g)))
+def _edge_key(adj: Sequence[int], deg: Sequence[int], x: int, y: int) -> int:
+    """(smaller endpoint degree, larger endpoint degree, common-neighbour
+    count), packed into one int (degrees stay below 16 for n <= 10)."""
+    dx, dy = deg[x], deg[y]
+    if dx > dy:
+        dx, dy = dy, dx
+    return (dx << 8) | (dy << 4) | (adj[x] & adj[y]).bit_count()
 
 
-def _component_vertex_sets(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+def _accepts(
+    adj: Sequence[int], deg: Sequence[int], others: Sequence[tuple[int, int]], u: int, v: int
+) -> bool:
+    """Whether the new edge u-v of the child lies in the orbit of the child's
+    canonical deletion edge; `others` are the child's remaining edges."""
+    key = _edge_key(adj, deg, u, v)
+    ties = []
+    for x, y in others:
+        k = _edge_key(adj, deg, x, y)
+        if k > key:
+            return False
+        if k == key:
+            ties.append((x, y))
+    if not ties:
+        return True
+    code = _pair_code(adj, u, v)
+    return all(_pair_code(adj, x, y) <= code for x, y in ties)
+
+
+def _graph_of_code(n: int, code: int) -> Graph:
+    """The graph whose adjacency rows a leaf code concatenates."""
+    full = (1 << n) - 1
+    rows = [(code >> (n * (n - 1 - i))) & full for i in range(n)]
+    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n) if rows[i] >> j & 1))
 
 
 def component_certificate(g: Graph) -> tuple:
     """Isomorphism certificate for graphs of any vertex count whose
     connected components each fit the canonical-form guard."""
     certs = []
-    for comp in _component_vertex_sets(g):
+    for comp in components(g):
         pos = {v: i for i, v in enumerate(comp)}
         sub = build_graph(
             len(comp),
@@ -160,7 +205,9 @@ def component_certificate(g: Graph) -> tuple:
 
 class LevelLadder:
     """All isomorphism classes of graphs on exactly n labeled-id vertices,
-    grouped by edge count and built on demand by edge augmentation."""
+    grouped by edge count and built on demand by canonical augmentation.
+    Each level lists its classes in canonical labelling, sorted by
+    canonical code."""
 
     def __init__(self, n: int):
         if n < 0:
@@ -180,40 +227,32 @@ class LevelLadder:
         return self._levels[m]
 
     def _grow(self) -> None:
-        parents = self._levels[-1]
+        """Append level m+1, grown from the classes of level m."""
         n = self.n
-        seen_labeled: set[tuple] = set()
-        buckets: dict[tuple, list[Graph]] = {}
-        order: list[tuple] = []
-        for parent in parents:
-            present = parent.edge_set
+        full = (1 << n) - 1
+        codes: list[int] = []
+        for parent in self._levels[-1]:
+            padj = _masks(parent)
+            pdeg = [a.bit_count() for a in padj]
+            seen: set[int] = set()
             for u in range(n):
                 for v in range(u + 1, n):
-                    if (u, v) in present:
+                    if padj[u] >> v & 1:
                         continue
-                    edges = tuple(sorted(present | {(u, v)}))
-                    if edges in seen_labeled:
+                    adj = padj[:]
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                    deg = pdeg[:]
+                    deg[u] += 1
+                    deg[v] += 1
+                    if not _accepts(adj, deg, parent.edges, u, v):
                         continue
-                    seen_labeled.add(edges)
-                    child = Graph(n, edges)
-                    key = _iso_invariant(child)
-                    if key not in buckets:
-                        buckets[key] = []
-                        order.append(key)
-                    buckets[key].append(child)
-        out: list[Graph] = []
-        for key in order:
-            group = buckets[key]
-            if len(group) == 1:
-                out.append(group[0])
-                continue
-            seen_canon: set[tuple[int, ...]] = set()
-            for child in group:
-                form = canonical_form(child)
-                if form not in seen_canon:
-                    seen_canon.add(form)
-                    out.append(child)
-        self._levels.append(out)
+                    code = _canonical_code(adj, [full])
+                    if code not in seen:
+                        seen.add(code)
+                        codes.append(code)
+        codes.sort()
+        self._levels.append([_graph_of_code(n, code) for code in codes])
 
 
 def graphs_with_at_most_edges(max_m: int) -> dict[int, list[Graph]]:

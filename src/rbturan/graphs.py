@@ -63,9 +63,6 @@ class Graph:
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
-    def num_edges(self) -> int:
-        return len(self.edges)
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -93,6 +90,27 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
             raise GraphError(f"duplicate edge ({u},{v})")
         seen.add(e)
     return Graph(n, tuple(sorted(seen)))
+
+
+def components(g: Graph) -> list[list[int]]:
+    """Vertex lists of the connected components in depth-first order, each
+    starting at its smallest vertex."""
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        stack, comp = [s], []
+        seen[s] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in g.adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(comp)
+    return comps
 
 
 def neighborhoods(g: Graph, v: int) -> tuple[frozenset[int], frozenset[int]]:

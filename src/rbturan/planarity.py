@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, components
 
 
 @dataclass(frozen=True)
@@ -25,30 +25,10 @@ def is_planar(g: Graph) -> PlanarityVerdict:
     """Decide whether g embeds in the plane."""
     if g.n >= 3 and len(g.edges) > 3 * g.n - 6:
         return PlanarityVerdict(False, "euler-bound")
-    for comp in _components(g):
+    for comp in components(g):
         if len(comp) >= 5 and not _LRTest(g, comp).run():
             return PlanarityVerdict(False, "combinatorial-test")
     return PlanarityVerdict(True, "combinatorial-test")
-
-
-def _components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(comp)
-    return comps
 
 
 class _Interval:

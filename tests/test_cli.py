@@ -196,6 +196,44 @@ def test_env_override_jobs(capsys, monkeypatch):
     assert parse(out)["config"]["jobs"] == 2
 
 
+@pytest.mark.parametrize(
+    "name, value, argv",
+    [
+        ("RBTURAN_JOBS", "two", ["extremal", "-n", "5", "-k", "5"]),
+        ("RBTURAN_JOBS", "0", ["refute", "-n", "5", "-m", "8", "-k", "5"]),
+        ("RBTURAN_BUDGET_NODES", "1e6", ["refute", "-n", "5", "-m", "8", "-k", "5"]),
+        ("RBTURAN_BUDGET_NODES", "-5", ["color", "-k", "5", "--graph6", "C~"]),
+    ],
+)
+def test_malformed_env_is_usage_error(capsys, monkeypatch, name, value, argv):
+    monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_must_be_positive(capsys, jobs):
+    for argv in (["extremal", "-n", "5", "-k", "5"], ["refute", "-n", "5", "-m", "8", "-k", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
+def test_negative_budget_is_usage_error(capsys):
+    for argv in (
+        ["refute", "-n", "6", "-m", "10", "-k", "5"],
+        ["extremal", "-n", "5", "-k", "5"],
+        ["color", "-k", "5", "--graph6", "C~"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--budget-nodes", "-1"])
+        assert exc.value.code == 2
+        assert "--budget-nodes" in capsys.readouterr().err
+
+
 def test_refute_budget_exits_3(capsys):
     code, out, _ = invoke(
         capsys, "refute", "-n", "6", "-m", "10", "-k", "5", "--budget-nodes", "3"

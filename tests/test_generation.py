@@ -8,6 +8,7 @@ import pytest
 
 from rbturan.generation import (
     LevelLadder,
+    _graph_of_code,
     canonical_form,
     component_certificate,
     relabel,
@@ -21,6 +22,9 @@ LEVEL_COUNTS = {
     6: [1, 1, 2, 5, 9, 15, 21, 24, 24, 21, 15, 9, 5, 2, 1, 1],
     7: [1, 1, 2, 5, 10, 21, 41, 65, 97, 131, 148, 148, 131, 97, 65, 41, 21, 10, 5, 2, 1, 1],
 }
+
+# graphs on 9 vertices with m = 0..12 edges (OEIS A008406)
+LEVEL_COUNTS_9 = [1, 1, 2, 5, 11, 25, 63, 148, 345, 771, 1637, 3252, 5995]
 
 # graphs with m edges and no isolated vertices
 EDGE_COUNTS = [1, 1, 2, 5, 11, 26, 68, 177]
@@ -37,6 +41,41 @@ def test_level_counts_n8_prefix():
     ladder = LevelLadder(8)
     got = [len(ladder.level(m)) for m in range(14)]
     assert got == [1, 1, 2, 5, 11, 24, 56, 115, 221, 402, 663, 980, 1312, 1557]
+
+
+def test_level_counts_n9_prefix():
+    ladder = LevelLadder(9)
+    assert [len(ladder.level(m)) for m in range(13)] == LEVEL_COUNTS_9
+
+
+@pytest.mark.filterwarnings("ignore:The hashes produced")
+def test_level_8_13_pairwise_non_isomorphic_under_networkx():
+    """Checked with networkx alone: graphs whose Weisfeiler-Lehman hashes
+    differ are non-isomorphic, and each hash bucket is compared pairwise."""
+    buckets: dict[str, list[nx.Graph]] = {}
+    for g in LevelLadder(8).level(13):
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges)
+        buckets.setdefault(nx.weisfeiler_lehman_graph_hash(G), []).append(G)
+    assert sum(len(b) for b in buckets.values()) == 1557
+    for bucket in buckets.values():
+        for G1, G2 in itertools.combinations(bucket, 2):
+            assert not nx.is_isomorphic(G1, G2)
+
+
+def test_levels_are_emitted_in_canonical_labelling_sorted_by_code():
+    ladder = LevelLadder(6)
+    for m in range(16):
+        graphs = ladder.level(m)
+        forms = [canonical_form(g) for g in graphs]
+        assert forms == sorted(forms)
+        for g in graphs:
+            # any relabelling of an emitted class has a canonical code
+            # that rebuilds the emitted graph itself
+            h = relabel(g, [5, 3, 1, 0, 2, 4])
+            assert canonical_form(h) == canonical_form(g)
+            assert _graph_of_code(g.n, canonical_form(h)[1]) == g
 
 
 def test_enumeration_complete_against_published_atlas():
