@@ -7,8 +7,11 @@ representative per color-renaming class, so with max_colors = e(g) an
 UNSAT answer is unconditional.  Properness is maintained through
 per-vertex used-color bitmasks; the rainbow constraint is enforced by
 checking, after each assignment, every k-vertex path whose edges just
-became fully colored (paths are precomputed and bucketed by the position
-of their last-colored edge).
+became fully colored.  Those paths form the bucket of the assigned
+position j: the edge at j joined with two vertex-disjoint arms that use
+only edges at earlier positions.  A bucket is built the first time the
+search reaches its position and cached, so positions the search never
+reaches cost nothing.
 """
 
 from __future__ import annotations
@@ -57,39 +60,6 @@ def _order_positions(g: Graph) -> list[int]:
     )
 
 
-def _k_paths(g: Graph, k: int) -> list[tuple[int, ...]]:
-    """All simple paths on exactly k vertices, as tuples of edge indices,
-    one orientation per path (first endpoint below last)."""
-    if k > g.n or k < 2:
-        return []
-    eidx = {e: i for i, e in enumerate(g.edges)}
-    adj = g.adj
-    out: list[tuple[int, ...]] = []
-    seq = [0] * k
-
-    def extend(v: int, depth: int, used: int) -> None:
-        if depth == k:
-            if seq[0] < seq[-1]:
-                out.append(
-                    tuple(
-                        eidx[(seq[i], seq[i + 1]) if seq[i] < seq[i + 1] else (seq[i + 1], seq[i])]
-                        for i in range(k - 1)
-                    )
-                )
-            return
-        for w in adj[v]:
-            bit = 1 << w
-            if used & bit:
-                continue
-            seq[depth] = w
-            extend(w, depth + 1, used | bit)
-
-    for s in range(g.n):
-        seq[0] = s
-        extend(s, 1, 1 << s)
-    return out
-
-
 class _Searcher:
     """Shared machinery for the decision search and the complete
     enumeration of canonical coloring classes."""
@@ -107,15 +77,62 @@ class _Searcher:
         self.max_colors = m if max_colors is None else max_colors
         self.order = _order_positions(g)
         self.endpoints = [g.edges[i] for i in self.order]
-        pos_of = {ei: j for j, ei in enumerate(self.order)}
+        # (position, neighbour) per vertex; positions ascend because the
+        # pairs are appended in position order.
+        self.nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        for j, (u, v) in enumerate(self.endpoints):
+            self.nbrs[u].append((j, v))
+            self.nbrs[v].append((j, u))
         # Paths cannot be rainbow at all when they carry more edges than
-        # there are colors available; skip the whole apparatus then.
-        self.buckets: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
-        if k - 1 <= self.max_colors:
-            for path in _k_paths(g, k):
-                positions = tuple(pos_of[i] for i in path)
-                self.buckets[max(positions)].append(positions)
+        # there are colors available; every bucket is empty then.
+        self._buckets: list[list[tuple[int, ...]] | None] = (
+            [None] * m if k - 1 <= self.max_colors else [[]] * m
+        )
         self.nodes = 0
+
+    def bucket(self, j: int) -> list[tuple[int, ...]]:
+        """The k-vertex paths whose last-colored edge is the one at position
+        j, as tuples of positions; built the first time the search reaches
+        j, then cached.
+
+        Each path is the edge (a, b) at j with a left arm from a and a right
+        arm from b, vertex-disjoint, k-2 edges in all, every edge at a
+        position below j.  Fixing which end of the edge is a makes each
+        path come out exactly once."""
+        paths = self._buckets[j]
+        if paths is not None:
+            return paths
+        paths = []
+        self._buckets[j] = paths
+        a, b = self.endpoints[j]
+        nbrs = self.nbrs
+
+        def right(v: int, seen: int, pos: tuple[int, ...], need: int) -> None:
+            for p, w in nbrs[v]:
+                if p >= j:
+                    break
+                bit = 1 << w
+                if seen & bit:
+                    continue
+                if need == 1:
+                    paths.append(pos + (p,))
+                else:
+                    right(w, seen | bit, pos + (p,), need - 1)
+
+        def left(v: int, seen: int, pos: tuple[int, ...], need: int) -> None:
+            if need == 0:
+                paths.append(pos)
+                return
+            right(b, seen, pos, need)
+            for p, w in nbrs[v]:
+                if p >= j:
+                    break
+                bit = 1 << w
+                if not seen & bit:
+                    left(w, seen | bit, (p,) + pos, need - 1)
+
+        left(a, (1 << a) | (1 << b), (j,), self.k - 2)
+        return paths
 
     def positions_to_colored(self, colors_by_pos: list[int]) -> ColoredGraph:
         by_edge = [0] * self.m
@@ -130,7 +147,7 @@ class _Searcher:
         if m == 0:
             return SAT, []
         endpoints = self.endpoints
-        buckets = self.buckets
+        bucket = self.bucket
         max_colors = self.max_colors
         colors = [0] * m
         used = [0] * self.g.n
@@ -148,6 +165,7 @@ class _Searcher:
                 return SAT, colors
             u, v = endpoints[j]
             forbid = used[u] | used[v]
+            paths = bucket(j)
             limit = max_colors if max_used[j] >= max_colors else max_used[j] + 1
             c = next_color[j]
             advanced = False
@@ -163,7 +181,7 @@ class _Searcher:
                         return BUDGET_EXCEEDED, None
                     colors[j] = c
                     rainbow = False
-                    for path in buckets[j]:
+                    for path in paths:
                         acc = 0
                         for p in path:
                             pb = 1 << colors[p]
@@ -203,7 +221,7 @@ class _Searcher:
         if m == 0:
             return [[]]
         endpoints = self.endpoints
-        buckets = self.buckets
+        bucket = self.bucket
         max_colors = self.max_colors
         colors = [0] * m
         used = [0] * self.g.n
@@ -215,6 +233,7 @@ class _Searcher:
                 return
             u, v = endpoints[j]
             forbid = used[u] | used[v]
+            paths = bucket(j)
             limit = max_colors if max_used >= max_colors else max_used + 1
             for c in range(1, limit + 1):
                 bit = 1 << c
@@ -222,7 +241,7 @@ class _Searcher:
                     continue
                 colors[j] = c
                 rainbow = False
-                for path in buckets[j]:
+                for path in paths:
                     acc = 0
                     for p in path:
                         pb = 1 << colors[p]

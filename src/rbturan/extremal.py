@@ -186,11 +186,10 @@ def _solve_chunk(payload: tuple) -> list[tuple[int, str, int, tuple[int, ...] | 
     Returns (index, status, nodes, certificate colors) per graph; the
     certificate is kept only for the chunk's first SAT candidate.
     """
-    lines, start, k, max_colors, node_budget = payload
+    graphs, start, k, max_colors, node_budget = payload
     out = []
     have_sat = False
-    for off, line in enumerate(lines):
-        g = decode_graph6(line)
+    for off, g in enumerate(graphs):
         outcome = find_coloring(g, k, max_colors, node_budget=node_budget)
         cert = None
         if outcome.sat and not have_sat:
@@ -222,9 +221,7 @@ def run_level(
     graphs = stream.graphs
     max_colors = max(1, m)  # the searcher needs a positive budget even at m=0
     if jobs <= 1 or len(graphs) <= 1:
-        results = _solve_chunk(
-            ([encode_graph6(g) for g in graphs], 0, k, max_colors, node_budget)
-        )
+        results = _solve_chunk((graphs, 0, k, max_colors, node_budget))
     else:
         jobs = min(jobs, len(graphs))
         size = (len(graphs) + jobs - 1) // jobs
@@ -232,12 +229,10 @@ def run_level(
         for w in range(jobs):
             chunk = graphs[w * size : (w + 1) * size]
             if chunk:
-                payloads.append(
-                    ([encode_graph6(g) for g in chunk], w * size, k, max_colors, node_budget)
-                )
+                payloads.append((chunk, w * size, k, max_colors, node_budget))
         try:
             ctx = get_context("fork")
-        except ValueError:  # platforms without fork; payloads pickle fine
+        except ValueError:  # platforms without fork; Graph payloads pickle fine
             ctx = get_context("spawn")
         with ctx.Pool(processes=len(payloads)) as pool:
             for part in pool.map(_solve_chunk, payloads):
@@ -407,6 +402,15 @@ def compute_extremal(
             if value == (3 * n) // 2:
                 # reduction-filtered minimality chain over all n' <= n; the
                 # top level may come from an external graph6 file
+                last_builtin = n if graph6_path is None else n - 1
+                if last_builtin > BUILTIN_MAX_N:
+                    first = BUILTIN_MAX_N + 1
+                    span = f"{first}..{last_builtin}" if last_builtin > first else f"{first}"
+                    raise GraphError(
+                        f"the reduced chain for n={n} needs built-in generation for "
+                        f"n'={span}, beyond the cap n <= {BUILTIN_MAX_N}; "
+                        f"--from-graph6 feeds only the top level n'={n}"
+                    )
                 levels = []
                 for n2 in range(4, n + 1):
                     levels.append(
@@ -450,6 +454,11 @@ def compute_extremal(
         )
     # No known construction: descend the levels from the planar cap.
     # (graph6 files describe a single level, so descent is built-in only.)
+    if n > BUILTIN_MAX_N:
+        raise GraphError(
+            f"no known construction for n={n}, k={k}, and level descent is "
+            f"built-in only, which caps at n <= {BUILTIN_MAX_N}"
+        )
     previous: LevelReport | None = None
     for m in range(cap, -1, -1):
         level = run_level(

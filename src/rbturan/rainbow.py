@@ -2,8 +2,9 @@
 
 A rainbow P_k is a path on k distinct vertices whose k-1 edges carry
 pairwise distinct colors.  Detection is depth-first extension from every
-start vertex, neighbors in ascending id order, with used colors carried as
-a bitset over normalized color ids; the returned witness is therefore the
+start vertex, neighbors in ascending id order, with used vertices and
+used (normalized) colors carried together in one bitmask read from a
+precomputed per-vertex adjacency; the returned witness is therefore the
 lexicographically least one and reproducible across runs.
 """
 
@@ -41,6 +42,21 @@ def replay_witness(cg: ColoredGraph, w: RainbowWitness, k: int) -> bool:
     return len(set(w.colors)) == k - 1
 
 
+def _colored_adjacency(cg: ColoredGraph) -> list[list[tuple[int, int]]]:
+    """Per vertex, (neighbour, bits) in ascending neighbour order.  One
+    mask carries both what a step uses up: bit w for the neighbour w and
+    bit n + c for the normalized color c of the edge."""
+    n = cg.n
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v), c in zip(cg.edges, normalize_colors(cg).colors):
+        cbit = 1 << (n + c)
+        nbrs[u].append((v, (1 << v) | cbit))
+        nbrs[v].append((u, (1 << u) | cbit))
+    for lst in nbrs:
+        lst.sort()
+    return nbrs
+
+
 def find_rainbow_path(cg: ColoredGraph, k: int | PathSpec) -> RainbowWitness | None:
     """Least rainbow P_k witness of cg, or None if cg is rainbow-P_k-free."""
     k = path_vertex_count(k)
@@ -49,38 +65,25 @@ def find_rainbow_path(cg: ColoredGraph, k: int | PathSpec) -> RainbowWitness | N
     g = cg.graph
     if k > g.n:
         return None
-    norm = normalize_colors(cg)
-    color = {e: c for e, c in zip(g.edges, norm.colors)}
-    adj = g.adj
+    nbrs = _colored_adjacency(cg)
     path = [0] * k
-    found: list[int] | None = None
+    last = k - 1
 
-    def extend(v: int, depth: int, used_vertices: int, used_colors: int):
-        nonlocal found
-        if depth == k:
-            found = path[:k]
-            return True
-        for w in adj[v]:
-            bit = 1 << w
-            if used_vertices & bit:
-                continue
-            c = color[(v, w) if v < w else (w, v)]
-            cbit = 1 << c
-            if used_colors & cbit:
+    def extend(v: int, depth: int, used: int) -> bool:
+        for w, bits in nbrs[v]:
+            if used & bits:
                 continue
             path[depth] = w
-            if extend(w, depth + 1, used_vertices | bit, used_colors | cbit):
+            if depth == last or extend(w, depth + 1, used | bits):
                 return True
         return False
 
     for s in range(g.n):
         path[0] = s
-        if extend(s, 1, 1 << s, 0):
-            break
-    if found is None:
-        return None
-    cols = tuple(cg.color_of(found[i], found[i + 1]) for i in range(k - 1))
-    return RainbowWitness(tuple(found), cols)
+        if extend(s, 1, 1 << s):
+            cols = tuple(cg.color_of(path[i], path[i + 1]) for i in range(k - 1))
+            return RainbowWitness(tuple(path), cols)
+    return None
 
 
 def find_rainbow_path_through(
@@ -96,34 +99,25 @@ def find_rainbow_path_through(
     g = cg.graph
     if k > g.n:
         return None
-    norm = normalize_colors(cg)
-    color = {ed: c for ed, c in zip(g.edges, norm.colors)}
-    adj = g.adj
-    ce = color[(a, b)]
-    base_vertices = (1 << a) | (1 << b)
-    base_colors = 1 << ce
+    nbrs = _colored_adjacency(cg)
+    base = (1 << a) | next(bits for w, bits in nbrs[a] if w == b)
 
-    def arms(start: int, length: int, used_v: int, used_c: int):
+    def arms(start: int, length: int, used: int):
         """All rainbow extensions of the given length from start, in
-        ascending neighbor order; yields (vertex list, used_v, used_c)."""
+        ascending neighbor order; yields (vertex list, used mask)."""
         if length == 0:
-            yield [], used_v, used_c
+            yield [], used
             return
-        for w in adj[start]:
-            bit = 1 << w
-            if used_v & bit:
+        for w, bits in nbrs[start]:
+            if used & bits:
                 continue
-            c = color[(start, w) if start < w else (w, start)]
-            cbit = 1 << c
-            if used_c & cbit:
-                continue
-            for rest, uv, uc in arms(w, length - 1, used_v | bit, used_c | cbit):
-                yield [w] + rest, uv, uc
+            for rest, u in arms(w, length - 1, used | bits):
+                yield [w] + rest, u
 
     for left_len in range(k - 1):
         right_len = k - 2 - left_len
-        for left, uv, uc in arms(a, left_len, base_vertices, base_colors):
-            for right, _, _ in arms(b, right_len, uv, uc):
+        for left, used in arms(a, left_len, base):
+            for right, _ in arms(b, right_len, used):
                 seq = list(reversed(left)) + [a, b] + right
                 cols = tuple(cg.color_of(seq[i], seq[i + 1]) for i in range(k - 1))
                 return RainbowWitness(tuple(seq), cols)

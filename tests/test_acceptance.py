@@ -61,6 +61,9 @@ def test_criterion_1_p5_extremal_values(capsys):
     assert top["filters"] == ["reduced", "planar"]
     assert top["status"] == "PASS"
     assert top["counts"]["unsat"] == top["counts"]["planar"] > 0
+    # the search tree of every chain level is frozen
+    nodes = {(lv["n"], lv["m"]): lv["nodes"] for lv in doc["chain"]}
+    assert nodes == {(4, 7): 0, (5, 8): 69, (6, 10): 444, (7, 11): 2979, (8, 13): 26385}
     assert elapsed8 < 7200
     _verdict(
         "1",

@@ -234,6 +234,22 @@ def test_negative_budget_is_usage_error(capsys):
         assert "--budget-nodes" in capsys.readouterr().err
 
 
+def test_chain_beyond_builtin_cap_names_its_levels(capsys, tmp_path):
+    code, out, err = invoke(capsys, "extremal", "-n", "70", "-k", "5")
+    assert code == 2 and out == ""
+    assert "n'=9..70" in err
+    # a file feeds only the top level, so n'=9 still needs built-in generation
+    path = tmp_path / "level.g6"
+    path.write_text(encode_graph6(gn(10).graph) + "\n")
+    code, out, err = invoke(capsys, "extremal", "-n", "10", "-k", "5", "--from-graph6", str(path))
+    assert code == 2 and out == ""
+    assert "n'=9," in err and "top level n'=10" in err
+    # no construction at (9, k=4): level descent has no file to read
+    code, out, err = invoke(capsys, "extremal", "-n", "9", "-k", "4")
+    assert code == 2 and out == ""
+    assert "level descent is built-in only" in err
+
+
 def test_refute_budget_exits_3(capsys):
     code, out, _ = invoke(
         capsys, "refute", "-n", "6", "-m", "10", "-k", "5", "--budget-nodes", "3"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,11 +10,13 @@ from rbturan.colorer import (
     BUDGET_EXCEEDED,
     UNSAT,
     OracleSizeError,
+    _Searcher,
     find_coloring,
     iter_coloring_classes,
     oracle_enumerate,
 )
-from rbturan.generation import relabel
+from rbturan.constructions import double_wheel
+from rbturan.generation import LevelLadder, relabel
 from rbturan.graphs import GraphError, build_graph, is_proper
 from rbturan.rainbow import find_rainbow_path
 
@@ -154,3 +157,43 @@ def test_max_colors_caps_search():
                     + [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert find_coloring(g, 8, 3).status == UNSAT
     assert find_coloring(g, 8, len(g.edges)).sat
+
+
+def _brute_force_paths(g, k):
+    """Edge sets of the k-vertex paths of g, by trying every vertex sequence."""
+    paths = set()
+    for seq in itertools.permutations(range(g.n), k):
+        if seq[0] < seq[-1]:
+            edges = frozenset(tuple(sorted(seq[i : i + 2])) for i in range(k - 1))
+            if edges <= g.edge_set:
+                paths.add(edges)
+    return paths
+
+
+def test_buckets_hold_every_path_once_at_its_largest_position():
+    ladder = LevelLadder(6)
+    for m in range(16):
+        for g in ladder.level(m):
+            for k in (3, 4, 5, 6):
+                searcher = _Searcher(g, k, None)
+                seen = Counter()
+                for j in range(m):
+                    for path in searcher.bucket(j):
+                        assert len(path) == k - 1 and max(path) == j, (g, k, j, path)
+                        seen[frozenset(searcher.endpoints[p] for p in path)] += 1
+                assert set(seen) == _brute_force_paths(g, k), (g, k)
+                assert set(seen.values()) <= {1}, (g, k)
+
+
+def test_buckets_empty_when_paths_outnumber_colors():
+    searcher = _Searcher(PRISM6, 5, 3)
+    assert all(searcher.bucket(j) == [] for j in range(len(PRISM6.edges)))
+
+
+def test_double_wheel_k8_search_tree_is_frozen():
+    # double_wheel(18) at k=8 is SAT; its node count pins the static edge
+    # order, the symmetry breaking and the bucket contents together
+    out = find_coloring(double_wheel(18).graph, 8)
+    assert out.sat and out.nodes == 12288
+    assert is_proper(out.certificate)
+    assert find_rainbow_path(out.certificate, 8) is None
