@@ -7,7 +7,6 @@ from .graphs import (
     ColoredGraph,
     Graph,
     GraphError,
-    PathSpec,
     build_colored_graph,
     build_graph,
     color_graph,
@@ -42,7 +41,6 @@ __all__ = [
     "ColoredGraph",
     "Graph",
     "GraphError",
-    "PathSpec",
     "PlanarityVerdict",
     "RainbowWitness",
     "SAT",

@@ -22,14 +22,8 @@ from typing import Any
 from . import __version__
 from .codec import CodecError, colored_to_doc, decode_colored, decode_graph6
 from .colorer import find_coloring
-from .constructions import (
-    DEFAULT_AVOIDS,
-    FAMILIES,
-    ConstructionSpec,
-    make,
-    validate_construction,
-)
-from .extremal import compute_extremal, refute_level
+from .constructions import FAMILIES, FAMILY_TABLE, ConstructionSpec, make, validate_construction
+from .extremal import compute_extremal, run_level
 from .graphs import GraphError, is_proper
 from .lemmas import LEMMA_IDS, verify_lemma
 from .rainbow import find_rainbow_path
@@ -73,9 +67,16 @@ def _report(subcommand: str, config: dict[str, Any], body: dict[str, Any]) -> di
     }
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise CodecError(f"{path} is not UTF-8 text") from None
+
+
 def _read_colored(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return decode_colored(fh.read())
+    return decode_colored(_read_text(path))
 
 
 def _cmd_detect(args) -> int:
@@ -106,9 +107,10 @@ def _load_graph(args):
         return decode_graph6(args.graph6)
     if args.input is None:
         raise GraphError("supply --graph6 TEXT or --input FILE")
-    with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(args.input)
     stripped = text.strip()
+    if not stripped:
+        raise CodecError(f"{args.input} is empty")
     if stripped.startswith("{"):
         return decode_colored(text).graph
     return decode_graph6(stripped.splitlines()[0])
@@ -176,27 +178,13 @@ def _cmd_lemma(args) -> int:
     return EXIT_OK if all(rep.passed for rep in reports) else EXIT_MISMATCH
 
 
-def _default_edges(args, cg) -> int:
-    fam = args.family
-    n = cg.n
-    if fam in ("gn", "g5", "g7", "k4-blocks"):
-        return (3 * n) // 2
-    if fam in ("double-wheel", "k2-path"):
-        return 3 * n - 6
-    if fam == "octahedron":
-        return 12
-    if fam == "icosahedron":
-        return 30
-    return len(cg.edges)  # disjoint-copies: edge count follows the parts
-
-
 def _cmd_construct(args) -> int:
     spec = ConstructionSpec(args.family, n=args.n, copies=args.copies, base=args.base)
     cg = make(spec)
     k = args.k
     if k is None:
         base_family = args.base if args.family == "disjoint-copies" else args.family
-        k = DEFAULT_AVOIDS.get(base_family, 5)
+        k = FAMILY_TABLE[base_family].avoids
     config = {
         "family": args.family,
         "n": args.n,
@@ -209,18 +197,13 @@ def _cmd_construct(args) -> int:
         doc = _report("construct", config, body)
         _emit(doc, f"{args.family}: n={cg.n}, {len(cg.edges)} edges")
         return EXIT_OK
-    expected = args.expect_edges if args.expect_edges is not None else _default_edges(args, cg)
+    expected = args.expect_edges
+    if expected is None:
+        row = FAMILY_TABLE.get(args.family)
+        # disjoint-copies: the edge count follows the parts
+        expected = row.edges(cg.n) if row else len(cg.edges)
     rep = validate_construction(cg, k, expected)
-    body["validation"] = {
-        "edge_count": rep.edge_count,
-        "expected_edges": rep.expected_edges,
-        "proper": rep.proper,
-        "planar": rep.planar,
-        "rainbow_free": rep.rainbow_free,
-        "colors_used": rep.colors_used,
-        "k": rep.k,
-        "passed": rep.passed,
-    }
+    body["validation"] = rep.to_doc()
     doc = _report("construct", config, body)
     _emit(
         doc,
@@ -261,7 +244,7 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_refute(args) -> int:
     t0 = time.monotonic()
-    rep = refute_level(
+    rep = run_level(
         args.n,
         args.m,
         args.k,
@@ -297,15 +280,8 @@ def _cmd_validate(args) -> int:
     expected = args.expect_edges if args.expect_edges is not None else len(cg.edges)
     rep = validate_construction(cg, args.k, expected)
     config = {"input": args.input, "k": args.k, "expect_edges": args.expect_edges}
-    body = {
-        "edge_count": rep.edge_count,
-        "expected_edges": rep.expected_edges,
-        "proper": rep.proper,
-        "planar": rep.planar,
-        "rainbow_free": rep.rainbow_free,
-        "colors_used": rep.colors_used,
-        "passed": rep.passed,
-    }
+    body = rep.to_doc()
+    del body["k"]  # validate reports k in its config only
     doc = _report("validate", config, body)
     _emit(doc, "pass" if rep.passed else "FAIL")
     return EXIT_OK if rep.passed else EXIT_MISMATCH

@@ -91,13 +91,12 @@ def encode_graph6(g: Graph) -> str:
 
 def read_graph6_file(path: str, max_n: int = MAX_N) -> list[Graph]:
     """Read a file with one graph6 line per graph; blank lines skipped."""
-    graphs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                graphs.append(decode_graph6(line, max_n=max_n))
-    return graphs
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [line.strip() for line in fh]
+    except UnicodeDecodeError:
+        raise CodecError(f"{path} is not a graph6 file: it holds non-ASCII bytes") from None
+    return [decode_graph6(line, max_n=max_n) for line in lines if line]
 
 
 def encode_colored(cg: ColoredGraph, meta: dict[str, Any] | None = None) -> str:
@@ -131,6 +130,8 @@ def colored_from_doc(doc: Any) -> ColoredGraph:
         raise CodecError(f"missing field {exc}") from None
     if not isinstance(n, int) or n < 0:
         raise CodecError(f"invalid vertex count {n!r}")
+    if not isinstance(raw_edges, list):
+        raise CodecError(f"edges must be a list of [u, v, color], got {raw_edges!r}")
     triples = []
     for entry in raw_edges:
         if not (isinstance(entry, list) and len(entry) == 3):

@@ -12,21 +12,19 @@ position j: the edge at j joined with two vertex-disjoint arms that use
 only edges at earlier positions.  A bucket is built the first time the
 search reaches its position and cached, so positions the search never
 reaches cost nothing.
+
+One engine, `_Searcher.solutions`, yields the canonical solutions in
+search order.  It runs in first mode (`find_coloring` takes the first
+solution: SAT with a certificate, or UNSAT / BUDGET_EXCEEDED once the
+engine is exhausted) or in all mode (`iter_coloring_classes` drains it).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from typing import Iterator
 
-from .graphs import (
-    ColoredGraph,
-    Graph,
-    GraphError,
-    PathSpec,
-    normalize_colors,
-    path_vertex_count,
-)
+from .graphs import ColoredGraph, Graph, GraphError, normalize_colors
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -43,7 +41,6 @@ class SearchOutcome:
     certificate: ColoredGraph | None
     nodes: int
     max_colors_used: int
-    seconds: float
 
     @property
     def sat(self) -> bool:
@@ -61,11 +58,10 @@ def _order_positions(g: Graph) -> list[int]:
 
 
 class _Searcher:
-    """Shared machinery for the decision search and the complete
-    enumeration of canonical coloring classes."""
+    """The search over one graph: static edge order, lazy path buckets and
+    the engine that yields canonical solutions."""
 
-    def __init__(self, g: Graph, k: int | PathSpec, max_colors: int | None):
-        k = path_vertex_count(k)
+    def __init__(self, g: Graph, k: int, max_colors: int | None):
         if k < 3:
             raise GraphError(f"coloring search needs k >= 3, got k={k}")
         if max_colors is not None and max_colors < 1:
@@ -140,18 +136,19 @@ class _Searcher:
             by_edge[ei] = colors_by_pos[j]
         return normalize_colors(ColoredGraph(self.g, tuple(by_edge)))
 
-    def solve_first(
-        self, node_budget: int | None, time_budget: float | None
-    ) -> tuple[str, list[int] | None]:
+    def solutions(self, node_budget: int | None = None) -> Iterator[list[int]]:
+        """Each canonical solution, as colors by position, in search order.
+
+        Once the generator is exhausted, self.status is UNSAT (every class
+        was reached) or BUDGET_EXCEEDED (the search stopped after
+        node_budget color assignments).  self.nodes counts the color
+        assignments tried so far; it is current at every yield."""
         m = self.m
-        if m == 0:
-            return SAT, []
         endpoints = self.endpoints
         bucket = self.bucket
         max_colors = self.max_colors
         colors = [0] * m
         used = [0] * self.g.n
-        deadline = None if time_budget is None else time.monotonic() + time_budget
         nodes = 0
 
         # Iterative depth-first search over positions; frame state is the
@@ -162,126 +159,73 @@ class _Searcher:
         while True:
             if j == m:
                 self.nodes = nodes
-                return SAT, colors
-            u, v = endpoints[j]
-            forbid = used[u] | used[v]
-            paths = bucket(j)
-            limit = max_colors if max_used[j] >= max_colors else max_used[j] + 1
-            c = next_color[j]
-            advanced = False
-            while c <= limit:
-                bit = 1 << c
-                if not forbid & bit:
-                    nodes += 1
-                    if node_budget is not None and nodes > node_budget:
-                        self.nodes = nodes
-                        return BUDGET_EXCEEDED, None
-                    if deadline is not None and not nodes & 4095 and time.monotonic() > deadline:
-                        self.nodes = nodes
-                        return BUDGET_EXCEEDED, None
-                    colors[j] = c
-                    rainbow = False
-                    for path in paths:
-                        acc = 0
-                        for p in path:
-                            pb = 1 << colors[p]
-                            if acc & pb:
+                yield colors[:]
+            else:
+                u, v = endpoints[j]
+                forbid = used[u] | used[v]
+                paths = bucket(j)
+                limit = max_colors if max_used[j] >= max_colors else max_used[j] + 1
+                c = next_color[j]
+                advanced = False
+                while c <= limit:
+                    bit = 1 << c
+                    if not forbid & bit:
+                        nodes += 1
+                        if node_budget is not None and nodes > node_budget:
+                            self.nodes, self.status = nodes, BUDGET_EXCEEDED
+                            return
+                        colors[j] = c
+                        rainbow = False
+                        for path in paths:
+                            acc = 0
+                            for p in path:
+                                pb = 1 << colors[p]
+                                if acc & pb:
+                                    break
+                                acc |= pb
+                            else:
+                                rainbow = True
                                 break
-                            acc |= pb
-                        else:
-                            rainbow = True
+                        if not rainbow:
+                            used[u] = used[u] | bit
+                            used[v] = used[v] | bit
+                            next_color[j] = c + 1
+                            j += 1
+                            next_color[j] = 1
+                            max_used[j] = max_used[j - 1] if c <= max_used[j - 1] else c
+                            advanced = True
                             break
-                    if not rainbow:
-                        used[u] = used[u] | bit
-                        used[v] = used[v] | bit
-                        next_color[j] = c + 1
-                        j += 1
-                        next_color[j] = 1
-                        max_used[j] = max_used[j - 1] if c <= max_used[j - 1] else c
-                        advanced = True
-                        break
-                c += 1
-            if advanced:
-                continue
-            # exhausted colors at position j: backtrack
-            colors[j] = 0
+                    c += 1
+                if advanced:
+                    continue
+            # no color left at position j, or a solution was just yielded:
+            # backtrack
             j -= 1
             if j < 0:
-                self.nodes = nodes
-                return UNSAT, None
+                self.nodes, self.status = nodes, UNSAT
+                return
             u, v = endpoints[j]
             bit = 1 << colors[j]
             used[u] &= ~bit
             used[v] &= ~bit
 
-    def solve_all(self) -> list[list[int]]:
-        """All canonical solutions (complete enumeration), by position."""
-        found: list[list[int]] = []
-        m = self.m
-        if m == 0:
-            return [[]]
-        endpoints = self.endpoints
-        bucket = self.bucket
-        max_colors = self.max_colors
-        colors = [0] * m
-        used = [0] * self.g.n
-
-        def rec(j: int, max_used: int) -> None:
-            self.nodes += 1
-            if j == m:
-                found.append(colors[:])
-                return
-            u, v = endpoints[j]
-            forbid = used[u] | used[v]
-            paths = bucket(j)
-            limit = max_colors if max_used >= max_colors else max_used + 1
-            for c in range(1, limit + 1):
-                bit = 1 << c
-                if forbid & bit:
-                    continue
-                colors[j] = c
-                rainbow = False
-                for path in paths:
-                    acc = 0
-                    for p in path:
-                        pb = 1 << colors[p]
-                        if acc & pb:
-                            break
-                        acc |= pb
-                    else:
-                        rainbow = True
-                        break
-                if not rainbow:
-                    used[u] |= bit
-                    used[v] |= bit
-                    rec(j + 1, max_used if c <= max_used else c)
-                    used[u] &= ~bit
-                    used[v] &= ~bit
-            colors[j] = 0
-
-        rec(0, 0)
-        return found
-
 
 def find_coloring(
     g: Graph,
-    k: int | PathSpec,
+    k: int,
     max_colors: int | None = None,
     node_budget: int | None = None,
-    time_budget: float | None = None,
 ) -> SearchOutcome:
     """Decide whether g has a proper edge-coloring with at most max_colors
     colors (default e(g), which makes UNSAT unconditional) and no rainbow
     P_k.  Budget exhaustion is reported as BUDGET_EXCEEDED, never UNSAT.
     """
-    t0 = time.monotonic()
     searcher = _Searcher(g, k, max_colors)
-    status, colors = searcher.solve_first(node_budget, time_budget)
-    elapsed = time.monotonic() - t0
-    if status == SAT:
-        cert = searcher.positions_to_colored(colors)
-        return SearchOutcome(SAT, cert, searcher.nodes, cert.colors_used(), elapsed)
-    return SearchOutcome(status, None, searcher.nodes, 0, elapsed)
+    colors = next(searcher.solutions(node_budget), None)
+    if colors is None:
+        return SearchOutcome(searcher.status, None, searcher.nodes, 0)
+    cert = searcher.positions_to_colored(colors)
+    return SearchOutcome(SAT, cert, searcher.nodes, cert.colors_used())
 
 
 def iter_coloring_classes(g: Graph, k: int, max_colors: int | None = None) -> list[ColoredGraph]:
@@ -289,12 +233,12 @@ def iter_coloring_classes(g: Graph, k: int, max_colors: int | None = None) -> li
     each as its canonical (first-occurrence over canonical edge order)
     representative, sorted for determinism."""
     searcher = _Searcher(g, k, max_colors)
-    reps = [searcher.positions_to_colored(sol) for sol in searcher.solve_all()]
+    reps = [searcher.positions_to_colored(sol) for sol in searcher.solutions()]
     reps.sort(key=lambda cg: cg.colors)
     return reps
 
 
-def oracle_enumerate(g: Graph, k: int | PathSpec) -> int:
+def oracle_enumerate(g: Graph, k: int) -> int:
     """Independent cross-check: count color-renaming classes of proper
     rainbow-P_k-free colorings by plain exhaustive enumeration.
 
@@ -305,7 +249,6 @@ def oracle_enumerate(g: Graph, k: int | PathSpec) -> int:
     m = len(g.edges)
     if m > 12:
         raise OracleSizeError(f"oracle_enumerate guard: e(g)={m} > 12")
-    k = path_vertex_count(k)
     if k < 2:
         raise GraphError(f"paths need k >= 2 vertices, got k={k}")
     edges = g.edges

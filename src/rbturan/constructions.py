@@ -14,6 +14,12 @@ Families:
   icosahedron   5-regular on 12 vertices with a frozen proper 5-coloring
   disjoint-copies  t disjoint copies of a base family
 
+FAMILY_TABLE states the facts of each family once: its builder, the k of
+the rainbow P_k it avoids, its edge count as a function of n (floor(3n/2)
+or the planar maximum 3n-6), its fixed n if it has one, and whether the
+extremal pipeline claims it as an achiever.  `make`, the `construct`
+defaults and `extremal._claimed_achiever` all read it.
+
 The prism coloring has two variants keyed on the parity of n/2; the
 validator is the authority that certifies every instance, so a
 transcription slip cannot pass silently.
@@ -21,7 +27,8 @@ transcription slip cannot pass silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Any, Callable
 
 from .colorer import find_coloring
 from .graphs import (
@@ -32,33 +39,8 @@ from .graphs import (
     disjoint_union,
     is_proper,
 )
-from .planarity import is_planar
+from .planarity import is_planar, planar_edge_cap
 from .rainbow import find_rainbow_path
-
-FAMILIES = (
-    "k4-blocks",
-    "g5",
-    "g7",
-    "gn",
-    "double-wheel",
-    "k2-path",
-    "octahedron",
-    "icosahedron",
-    "disjoint-copies",
-)
-
-# Default path length the family is built to avoid (k of rainbow-P_k).
-DEFAULT_AVOIDS = {
-    "k4-blocks": 4,
-    "g5": 5,
-    "g7": 5,
-    "gn": 5,
-    "double-wheel": 8,
-    "k2-path": 8,
-    "octahedron": 6,
-    "icosahedron": 7,
-}
-
 
 @dataclass(frozen=True)
 class ConstructionSpec:
@@ -86,6 +68,9 @@ class ValidationReport:
             and self.rainbow_free
             and self.edge_count == self.expected_edges
         )
+
+    def to_doc(self) -> dict[str, Any]:
+        return {**asdict(self), "passed": self.passed}
 
 
 def _k4_block() -> list[tuple[int, int, int]]:
@@ -242,51 +227,72 @@ def icosahedron() -> ColoredGraph:
 
 
 def regenerate_frozen(family: str) -> ColoredGraph:
-    """Re-derive a frozen coloring with the search (max_colors = Delta)."""
-    if family == "octahedron":
-        out = find_coloring(build_graph(6, OCTAHEDRON_EDGES), 6, 4)
-    elif family == "icosahedron":
-        out = find_coloring(build_graph(12, ICOSAHEDRON_EDGES), 7, 5)
-    else:
+    """Re-derive a frozen coloring with the search (max_colors = Delta),
+    avoiding the family's own path length."""
+    if family not in ("octahedron", "icosahedron"):
         raise GraphError(f"no frozen coloring for family {family!r}")
+    row = FAMILY_TABLE[family]
+    g = row.build().graph
+    out = find_coloring(g, row.avoids, max(g.degrees()))
     if not out.sat:  # pragma: no cover - both graphs are class 1
         raise GraphError(f"{family} admits no proper Delta-edge-coloring?")
     return out.certificate
 
 
+@dataclass(frozen=True)
+class Family:
+    """The facts of one family, each stated once: its builder (called with
+    n, or with nothing for a fixed graph), the k of the rainbow P_k it is
+    built to avoid, its edge count as a function of n, its fixed vertex
+    count if it has one, and whether the extremal pipeline claims it as an
+    achiever."""
+
+    build: Callable[..., ColoredGraph]
+    avoids: int
+    edges: Callable[[int], int]
+    fixed_n: int | None = None
+    claimed: bool = True
+
+
+def _three_halves(n: int) -> int:
+    return (3 * n) // 2
+
+
+# g5 and g7 are gn at n=5 and n=7; the pipeline claims gn for them.
+FAMILY_TABLE: dict[str, Family] = {
+    "k4-blocks": Family(k4_blocks, 4, _three_halves),
+    "g5": Family(g5, 5, _three_halves, fixed_n=5, claimed=False),
+    "g7": Family(g7, 5, _three_halves, fixed_n=7, claimed=False),
+    "gn": Family(gn, 5, _three_halves),
+    "double-wheel": Family(double_wheel, 8, planar_edge_cap),
+    "k2-path": Family(k2_path, 8, planar_edge_cap),
+    "octahedron": Family(octahedron, 6, planar_edge_cap, fixed_n=6),
+    "icosahedron": Family(icosahedron, 7, planar_edge_cap, fixed_n=12),
+}
+
+FAMILIES = (*FAMILY_TABLE, "disjoint-copies")
+
+
 def make(spec: ConstructionSpec) -> ColoredGraph:
     """Build the colored graph described by spec."""
     fam = spec.family
-    if fam not in FAMILIES:
-        raise GraphError(f"unknown family {fam!r}; known: {', '.join(FAMILIES)}")
     if fam == "disjoint-copies":
-        if spec.base is None or spec.base in ("disjoint-copies",):
+        if spec.base is None or spec.base == "disjoint-copies":
             raise GraphError("disjoint-copies needs a base family")
         if spec.copies < 1:
             raise GraphError(f"copies must be >= 1, got {spec.copies}")
         part = make(ConstructionSpec(spec.base, n=spec.n))
         return disjoint_union([part] * spec.copies)
-    if fam == "g5":
-        return g5()
-    if fam == "g7":
-        return g7()
-    if fam == "octahedron":
-        if spec.n not in (None, 6):
-            raise GraphError("octahedron is a fixed 6-vertex graph")
-        return octahedron()
-    if fam == "icosahedron":
-        if spec.n not in (None, 12):
-            raise GraphError("icosahedron is a fixed 12-vertex graph")
-        return icosahedron()
+    if fam not in FAMILY_TABLE:
+        raise GraphError(f"unknown family {fam!r}; known: {', '.join(FAMILIES)}")
+    row = FAMILY_TABLE[fam]
+    if row.fixed_n is not None:
+        if spec.n not in (None, row.fixed_n):
+            raise GraphError(f"{fam} is a fixed {row.fixed_n}-vertex graph")
+        return row.build()
     if spec.n is None:
         raise GraphError(f"family {fam!r} needs a vertex count")
-    if fam == "k4-blocks":
-        return k4_blocks(spec.n)
-    if fam == "gn":
-        return gn(spec.n)
-    if fam == "double-wheel":
-        return double_wheel(spec.n)
-    return k2_path(spec.n)
+    return row.build(spec.n)
 
 
 def validate_construction(cg: ColoredGraph, k: int, expected_edges: int) -> ValidationReport:

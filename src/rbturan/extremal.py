@@ -20,18 +20,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Any, Iterable
+from typing import Any
 
-from .codec import colored_to_doc, decode_graph6, encode_graph6
+from .codec import colored_to_doc, encode_graph6, read_graph6_file
 from .colorer import BUDGET_EXCEEDED, SAT, UNSAT, find_coloring
-from .constructions import (
-    ConstructionSpec,
-    make,
-    validate_construction,
-)
+from .constructions import FAMILY_TABLE, ConstructionSpec, make, validate_construction
 from .generation import LevelLadder
 from .graphs import ColoredGraph, Graph, GraphError, build_colored_graph
-from .planarity import is_planar
+from .planarity import is_planar, planar_edge_cap
 
 BUILTIN_MAX_N = 8
 
@@ -42,12 +38,6 @@ def is_reduced(g: Graph) -> bool:
     if g.n and min(deg) < 2:
         return False
     return not any(deg[u] == 2 and deg[v] == 2 for u, v in g.edges)
-
-
-def planar_edge_cap(n: int) -> int:
-    """Largest edge count a planar graph on n vertices can have."""
-    full = n * (n - 1) // 2
-    return full if n < 3 else min(full, 3 * n - 6)
 
 
 @dataclass(frozen=True)
@@ -90,17 +80,13 @@ def enumerate_candidates(
     stream's source).
     """
     if graph6_path is not None:
-        graphs: Iterable[Graph] = []
-        with open(graph6_path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        decoded = [decode_graph6(ln) for ln in lines]
-        for g in decoded:
+        graphs = read_graph6_file(graph6_path)
+        for g in graphs:
             if g.n != n or len(g.edges) != m:
                 raise GraphError(
                     f"graph6 candidate with n={g.n}, m={len(g.edges)}; "
                     f"expected ({n},{m})"
                 )
-        graphs = decoded
         source = f"graph6:{graph6_path}"
     else:
         if n > BUILTIN_MAX_N:
@@ -108,9 +94,8 @@ def enumerate_candidates(
                 f"built-in enumeration caps at n <= {BUILTIN_MAX_N}; "
                 f"supply --from-graph6 for n={n}"
             )
-        graphs = _ladder(n).level(m)
+        graphs = list(_ladder(n).level(m))
         source = "built-in"
-    graphs = list(graphs)
     raw = len(graphs)
     if reduced:
         graphs = [g for g in graphs if is_reduced(g)]
@@ -282,30 +267,6 @@ def run_level(
     )
 
 
-def refute_level(
-    n: int,
-    m: int,
-    k: int,
-    *,
-    reduced: bool = True,
-    planar: bool = True,
-    jobs: int = 1,
-    node_budget: int | None = None,
-    graph6_path: str | None = None,
-) -> LevelReport:
-    """PASS iff every (reduced) planar n-vertex m-edge graph is UNSAT."""
-    return run_level(
-        n,
-        m,
-        k,
-        reduced=reduced,
-        planar=planar,
-        jobs=jobs,
-        node_budget=node_budget,
-        graph6_path=graph6_path,
-    )
-
-
 @dataclass(frozen=True)
 class ExtremalReport:
     n: int
@@ -343,25 +304,22 @@ class ExtremalReport:
 
 def _claimed_achiever(n: int, k: int) -> tuple[ColoredGraph, str] | None:
     """A construction known to achieve the extremal value at (n, k), or
-    None when the value must be found by level descent."""
-    try:
-        if k == 3:
-            edges = [(2 * i, 2 * i + 1, 1 + i) for i in range(n // 2)]
-            return build_colored_graph(n, edges), "matching"
-        if k == 4 and n % 4 == 0 and n >= 4:
-            return make(ConstructionSpec("k4-blocks", n=n)), "k4-blocks"
-        if k == 5 and n >= 4:
-            return make(ConstructionSpec("gn", n=n)), "gn"
-        if k == 6 and n == 6:
-            return make(ConstructionSpec("octahedron")), "octahedron"
-        if k == 7 and n == 12:
-            return make(ConstructionSpec("icosahedron")), "icosahedron"
-        if k >= 8 and n >= k:
-            if n % 2 == 0:
-                return make(ConstructionSpec("double-wheel", n=n)), "double-wheel"
-            return make(ConstructionSpec("k2-path", n=n)), "k2-path"
-    except GraphError:
-        return None
+    None when the value must be found by level descent.
+
+    Every claimed family of the table is tried in table order at the k it
+    avoids.  A family at the planar maximum is also tried for every longer
+    path up to n vertices: it avoids those too, and no planar graph has
+    more edges.  The first family that builds at n wins."""
+    if k == 3:
+        edges = [(2 * i, 2 * i + 1, 1 + i) for i in range(n // 2)]
+        return build_colored_graph(n, edges), "matching"
+    for name, fam in FAMILY_TABLE.items():
+        reach = range(fam.avoids, n + 1) if fam.edges is planar_edge_cap else (fam.avoids,)
+        if fam.claimed and k in reach:
+            try:
+                return make(ConstructionSpec(name, n=n)), name
+            except GraphError:
+                continue
     return None
 
 
@@ -441,6 +399,11 @@ def compute_extremal(
             bad = [lv for lv in (chain or (refutation,)) if not lv.passed]
             if bad:
                 status = "BUDGET" if all(lv.status == "BUDGET" for lv in bad) else "FAIL"
+        elif graph6_path is not None:
+            raise GraphError(
+                f"the value {value} at n={n}, k={k} is the planar edge maximum, so no "
+                f"level is refuted and --from-graph6 {graph6_path} would not be read"
+            )
         return ExtremalReport(
             n=n,
             k=k,
@@ -454,6 +417,11 @@ def compute_extremal(
         )
     # No known construction: descend the levels from the planar cap.
     # (graph6 files describe a single level, so descent is built-in only.)
+    if graph6_path is not None:
+        raise GraphError(
+            f"no known construction for n={n}, k={k}, and level descent is "
+            f"built-in only: it cannot read --from-graph6 {graph6_path}"
+        )
     if n > BUILTIN_MAX_N:
         raise GraphError(
             f"no known construction for n={n}, k={k}, and level descent is "

@@ -25,25 +25,6 @@ def canonical_edge(u: int, v: int) -> Edge:
 
 
 @dataclass(frozen=True)
-class PathSpec:
-    """A path on k vertices (k-1 edges); rainbow detection and coloring
-    search accept either a PathSpec or a bare int."""
-
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise GraphError(f"paths need k >= 2 vertices, got k={self.k}")
-
-    def __index__(self) -> int:
-        return self.k
-
-
-def path_vertex_count(k: "int | PathSpec") -> int:
-    return k.k if isinstance(k, PathSpec) else k
-
-
-@dataclass(frozen=True)
 class Graph:
     """An undirected simple graph: vertex count plus canonical edge tuple."""
 

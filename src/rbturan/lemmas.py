@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .colorer import UNSAT, find_coloring, iter_coloring_classes
+from .colorer import iter_coloring_classes
 from .graphs import ColoredGraph, Graph, GraphError, build_graph
 
 LEMMA_IDS = ("bowtie-5.2", "fish-5.4", "medium-5.5", "heavy-5.7")
@@ -185,14 +185,3 @@ def verify_lemma(lemma_id: str, k: int = 5) -> LemmaReport:
         classes=tuple(classes),
         violations=violations,
     )
-
-
-def refute(g: Graph, k: int, node_budget: int | None = None) -> bool:
-    """True iff g admits no proper rainbow-P_k-free coloring at all
-    (complete search with the unconditional color budget e(g))."""
-    outcome = find_coloring(g, k, len(g.edges), node_budget=node_budget)
-    if outcome.status == UNSAT:
-        return True
-    if outcome.sat:
-        return False
-    raise GraphError(f"refute({k}): search budget exhausted")

@@ -21,9 +21,15 @@ class PlanarityVerdict:
         return self.planar
 
 
+def planar_edge_cap(n: int) -> int:
+    """Largest edge count a planar graph on n vertices can have."""
+    full = n * (n - 1) // 2
+    return full if n < 3 else min(full, 3 * n - 6)
+
+
 def is_planar(g: Graph) -> PlanarityVerdict:
     """Decide whether g embeds in the plane."""
-    if g.n >= 3 and len(g.edges) > 3 * g.n - 6:
+    if len(g.edges) > planar_edge_cap(g.n):
         return PlanarityVerdict(False, "euler-bound")
     for comp in components(g):
         if len(comp) >= 5 and not _LRTest(g, comp).run():

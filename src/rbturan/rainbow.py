@@ -12,14 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (
-    ColoredGraph,
-    GraphError,
-    PathSpec,
-    canonical_edge,
-    normalize_colors,
-    path_vertex_count,
-)
+from .graphs import ColoredGraph, GraphError, canonical_edge, normalize_colors
 
 
 @dataclass(frozen=True)
@@ -57,9 +50,8 @@ def _colored_adjacency(cg: ColoredGraph) -> list[list[tuple[int, int]]]:
     return nbrs
 
 
-def find_rainbow_path(cg: ColoredGraph, k: int | PathSpec) -> RainbowWitness | None:
+def find_rainbow_path(cg: ColoredGraph, k: int) -> RainbowWitness | None:
     """Least rainbow P_k witness of cg, or None if cg is rainbow-P_k-free."""
-    k = path_vertex_count(k)
     if k < 2:
         raise GraphError(f"paths need k >= 2 vertices, got k={k}")
     g = cg.graph
@@ -87,10 +79,9 @@ def find_rainbow_path(cg: ColoredGraph, k: int | PathSpec) -> RainbowWitness | N
 
 
 def find_rainbow_path_through(
-    cg: ColoredGraph, e: tuple[int, int], k: int | PathSpec
+    cg: ColoredGraph, e: tuple[int, int], k: int
 ) -> RainbowWitness | None:
     """A rainbow P_k witness using edge e, or None if no rainbow P_k does."""
-    k = path_vertex_count(k)
     if k < 2:
         raise GraphError(f"paths need k >= 2 vertices, got k={k}")
     a, b = canonical_edge(*e)

@@ -280,3 +280,60 @@ def test_refute_from_graph6_file(capsys, tmp_path):
     doc = parse(out)
     assert doc["status"] == "PASS"
     assert doc["source"] == f"graph6:{path}"
+
+
+def test_extremal_rejects_from_graph6_it_would_not_read(capsys):
+    # no construction at (6, k=4): level descent is built-in only
+    code, out, err = invoke(
+        capsys, "extremal", "-n", "6", "-k", "4", "--from-graph6", "/nonexistent.g6"
+    )
+    assert code == 2 and out == ""
+    assert "level descent is built-in only" in err
+    # the octahedron reaches the planar maximum: no level is refuted
+    code, out, err = invoke(
+        capsys, "extremal", "-n", "6", "-k", "6", "--from-graph6", "/nonexistent.g6"
+    )
+    assert code == 2 and out == ""
+    assert "planar edge maximum" in err and "would not be read" in err
+
+
+def test_color_empty_input_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "empty.g6"
+    path.write_text("")
+    code, out, err = invoke(capsys, "color", "-k", "5", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "is empty" in err
+
+
+def test_color_non_utf8_input_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.g6"
+    path.write_bytes(b"C\xff\n")
+    code, out, err = invoke(capsys, "color", "-k", "5", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "not UTF-8" in err
+
+
+def test_refute_non_ascii_graph6_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "level.g6"
+    path.write_bytes("Eé\n".encode("utf-8"))
+    code, out, err = invoke(
+        capsys, "refute", "-n", "6", "-m", "10", "-k", "5", "--from-graph6", str(path)
+    )
+    assert code == 2 and out == ""
+    assert "non-ASCII" in err
+
+
+@pytest.mark.parametrize("subcommand", ["detect", "validate"])
+def test_edges_that_are_not_a_list_are_usage_error(capsys, tmp_path, subcommand):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 3, "edges": 5}')
+    code, out, err = invoke(capsys, subcommand, "-k", "5", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "edges must be a list" in err
+
+
+@pytest.mark.parametrize("family, n", [("g5", 9), ("g7", 5), ("octahedron", 7), ("icosahedron", 6)])
+def test_fixed_size_family_rejects_other_n(capsys, family, n):
+    code, out, err = invoke(capsys, "construct", family, "-n", str(n), "--validate")
+    assert code == 2 and out == ""
+    assert "fixed" in err

@@ -64,6 +64,16 @@ def test_budget_reported_not_unsat():
     assert out.certificate is None
 
 
+def test_budget_counts_color_assignments_exactly():
+    # a budget of exactly the nodes a search needs is enough; one less is not
+    for g in (PRISM6, BOW_TIE, C4):
+        full = find_coloring(g, 4)
+        assert full.nodes > 0
+        assert find_coloring(g, 4, node_budget=full.nodes) == full
+        short = find_coloring(g, 4, node_budget=full.nodes - 1)
+        assert short.status == BUDGET_EXCEEDED and short.nodes == full.nodes
+
+
 def test_empty_graph_is_sat():
     g = build_graph(3, [])
     out = find_coloring(g, 5, 1)

@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 
 from rbturan.constructions import (
+    FAMILY_TABLE,
     ConstructionSpec,
-    DEFAULT_AVOIDS,
     double_wheel,
     g5,
     g7,
@@ -181,7 +181,7 @@ def test_corrupted_coloring_fails_gate():
 
 
 def test_default_avoids_registry():
-    assert DEFAULT_AVOIDS["gn"] == 5
-    assert DEFAULT_AVOIDS["double-wheel"] == 8
-    assert DEFAULT_AVOIDS["octahedron"] == 6
-    assert DEFAULT_AVOIDS["icosahedron"] == 7
+    assert FAMILY_TABLE["gn"].avoids == 5
+    assert FAMILY_TABLE["double-wheel"].avoids == 8
+    assert FAMILY_TABLE["octahedron"].avoids == 6
+    assert FAMILY_TABLE["icosahedron"].avoids == 7

@@ -12,7 +12,6 @@ from rbturan.extremal import (
     enumerate_candidates,
     is_reduced,
     planar_edge_cap,
-    refute_level,
     run_level,
 )
 from rbturan.generation import LevelLadder
@@ -83,10 +82,10 @@ def test_level_5_8_golden_count():
 
 
 def test_refute_levels_just_above_the_p5_bound():
-    assert refute_level(4, 7, 5).status == "PASS"  # vacuous
-    lv = refute_level(5, 8, 5)
+    assert run_level(4, 7, 5, reduced=True).status == "PASS"  # vacuous
+    lv = run_level(5, 8, 5, reduced=True)
     assert lv.status == "PASS" and lv.unsat == 2
-    lv = refute_level(6, 10, 5)
+    lv = run_level(6, 10, 5, reduced=True)
     assert lv.status == "PASS" and lv.unsat == lv.after_planarity == 11
 
 
@@ -94,8 +93,8 @@ def test_reduction_filter_agrees_with_unfiltered_refutation():
     # empirical soundness spot check at small n
     for n in (5, 6):
         m = (3 * n) // 2 + 1
-        with_filters = refute_level(n, m, 5, reduced=True)
-        without = refute_level(n, m, 5, reduced=False)
+        with_filters = run_level(n, m, 5, reduced=True)
+        without = run_level(n, m, 5, reduced=False)
         assert with_filters.status == without.status == "PASS"
         assert without.after_planarity >= with_filters.after_planarity
 
@@ -204,8 +203,8 @@ def test_graph6_source_roundtrip(tmp_path):
     level = LevelLadder(6).level(10)
     path = tmp_path / "level_6_10.g6"
     path.write_text("".join(encode_graph6(g) + "\n" for g in level))
-    via_file = refute_level(6, 10, 5, graph6_path=str(path))
-    builtin = refute_level(6, 10, 5)
+    via_file = run_level(6, 10, 5, reduced=True, graph6_path=str(path))
+    builtin = run_level(6, 10, 5, reduced=True)
     assert via_file.status == "PASS"
     assert via_file.digest == builtin.digest
     assert via_file.source == f"graph6:{path}"

@@ -4,15 +4,9 @@ import itertools
 
 import pytest
 
-from rbturan.colorer import oracle_enumerate
+from rbturan.colorer import BUDGET_EXCEEDED, SAT, UNSAT, find_coloring, oracle_enumerate
 from rbturan.graphs import GraphError, build_graph, is_proper
-from rbturan.lemmas import (
-    LEMMA_IDS,
-    enumerate_schemes,
-    refute,
-    template,
-    verify_lemma,
-)
+from rbturan.lemmas import LEMMA_IDS, enumerate_schemes, template, verify_lemma
 from rbturan.rainbow import find_rainbow_path
 
 # class counts computed by oracle_enumerate (golden values)
@@ -95,19 +89,18 @@ def test_refute_examples():
     bow_pendant = build_graph(
         6, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (2, 5)]
     )
-    assert refute(bow_pendant, 5)
+    assert find_coloring(bow_pendant, 5).status == UNSAT
     k23_two_pendants = build_graph(
         7, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (0, 5), (0, 6)]
     )
-    assert refute(k23_two_pendants, 5)
+    assert find_coloring(k23_two_pendants, 5).status == UNSAT
     k4 = build_graph(4, list(itertools.combinations(range(4), 2)))
-    assert not refute(k4, 5)
+    assert find_coloring(k4, 5).status == SAT
 
 
 def test_refute_budget_error():
     g = build_graph(8, [(i, j) for i in range(8) for j in range(i + 1, 8) if (i + j) % 3])
-    with pytest.raises(GraphError, match="budget"):
-        refute(g, 5, node_budget=2)
+    assert find_coloring(g, 5, node_budget=2).status == BUDGET_EXCEEDED
 
 
 def test_templates_agree_for_other_k():

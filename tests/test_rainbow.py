@@ -93,15 +93,6 @@ def test_k_below_2_rejected():
         find_rainbow_path(cg, 1)
 
 
-def test_path_spec_accepted():
-    from rbturan.graphs import PathSpec
-
-    cg = build_colored_graph(5, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4)])
-    assert find_rainbow_path(cg, PathSpec(5)) == find_rainbow_path(cg, 5)
-    with pytest.raises(GraphError):
-        PathSpec(1)
-
-
 def test_through_requires_edge():
     cg = build_colored_graph(3, [(0, 1, 1), (1, 2, 2)])
     with pytest.raises(GraphError, match="not an edge"):
