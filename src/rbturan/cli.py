@@ -113,7 +113,12 @@ def _load_graph(args):
         raise CodecError(f"{args.input} is empty")
     if stripped.startswith("{"):
         return decode_colored(text).graph
-    return decode_graph6(stripped.splitlines()[0])
+    lines = [line for line in stripped.splitlines() if line.strip()]
+    if len(lines) > 1:
+        raise CodecError(
+            f"{args.input} holds {len(lines)} graph6 lines; color searches one graph"
+        )
+    return decode_graph6(lines[0])
 
 
 def _cmd_color(args) -> int:

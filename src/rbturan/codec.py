@@ -74,13 +74,11 @@ def encode_graph6(g: Graph) -> str:
     n = g.n
     bits = 0
     nbits = n * (n - 1) // 2
-    edge_set = g.edge_set
-    idx = nbits - 1
-    for v in range(1, n):
-        for u in range(v):
-            if (u, v) in edge_set:
-                bits |= 1 << idx
-            idx -= 1
+    # column-major upper triangle: pair (u, v), u < v, is bit v(v-1)/2 + u
+    # counted from the most significant end
+    top = nbits - 1
+    for u, v in g.edges:
+        bits |= 1 << (top - (v * (v - 1) // 2 + u))
     need = (nbits + 5) // 6
     bits <<= need * 6 - nbits
     chars = [chr(n + 63)]
@@ -120,6 +118,11 @@ def decode_colored(text: str) -> ColoredGraph:
     return colored_from_doc(doc)
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer; true and false are not (bool subclasses int)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def colored_from_doc(doc: Any) -> ColoredGraph:
     if not isinstance(doc, dict):
         raise CodecError("document must be a JSON object")
@@ -128,7 +131,7 @@ def colored_from_doc(doc: Any) -> ColoredGraph:
         raw_edges = doc["edges"]
     except KeyError as exc:
         raise CodecError(f"missing field {exc}") from None
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise CodecError(f"invalid vertex count {n!r}")
     if not isinstance(raw_edges, list):
         raise CodecError(f"edges must be a list of [u, v, color], got {raw_edges!r}")
@@ -137,7 +140,7 @@ def colored_from_doc(doc: Any) -> ColoredGraph:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise CodecError(f"edge entry {entry!r} is not [u, v, color]")
         u, v, c = entry
-        if not all(isinstance(x, int) for x in (u, v, c)):
+        if not all(_is_int(x) for x in (u, v, c)):
             raise CodecError(f"non-integer edge entry {entry!r}")
         if c <= 0:
             raise CodecError(f"color id must be positive, got {c} on edge ({u},{v})")

@@ -9,9 +9,10 @@ per-vertex used-color bitmasks; the rainbow constraint is enforced by
 checking, after each assignment, every k-vertex path whose edges just
 became fully colored.  Those paths form the bucket of the assigned
 position j: the edge at j joined with two vertex-disjoint arms that use
-only edges at earlier positions.  A bucket is built the first time the
-search reaches its position and cached, so positions the search never
-reaches cost nothing.
+only edges at earlier positions, stored as the positions of the arm
+edges alone, since the check already knows the color at j.  A bucket is
+built the first time the search reaches its position and cached, so
+positions the search never reaches cost nothing.
 
 One engine, `_Searcher.solutions`, yields the canonical solutions in
 search order.  It runs in first mode (`find_coloring` takes the first
@@ -51,10 +52,9 @@ def _order_positions(g: Graph) -> list[int]:
     """Static edge order: decreasing endpoint degree sum, ties by canonical
     edge order (fail-first and deterministic)."""
     deg = g.degrees()
-    return sorted(
-        range(len(g.edges)),
-        key=lambda i: (-(deg[g.edges[i][0]] + deg[g.edges[i][1]]), g.edges[i]),
-    )
+    # g.edges is sorted, so the index breaks ties in canonical edge order
+    keys = sorted((-(deg[u] + deg[v]), i) for i, (u, v) in enumerate(g.edges))
+    return [i for _, i in keys]
 
 
 class _Searcher:
@@ -88,8 +88,8 @@ class _Searcher:
 
     def bucket(self, j: int) -> list[tuple[int, ...]]:
         """The k-vertex paths whose last-colored edge is the one at position
-        j, as tuples of positions; built the first time the search reaches
-        j, then cached.
+        j, each as the tuple of positions of its other k-2 edges; built the
+        first time the search reaches j, then cached.
 
         Each path is the edge (a, b) at j with a left arm from a and a right
         arm from b, vertex-disjoint, k-2 edges in all, every edge at a
@@ -116,18 +116,19 @@ class _Searcher:
                     right(w, seen | bit, pos + (p,), need - 1)
 
         def left(v: int, seen: int, pos: tuple[int, ...], need: int) -> None:
-            if need == 0:
-                paths.append(pos)
-                return
             right(b, seen, pos, need)
             for p, w in nbrs[v]:
                 if p >= j:
                     break
                 bit = 1 << w
-                if not seen & bit:
+                if seen & bit:
+                    continue
+                if need == 1:
+                    paths.append((p,) + pos)
+                else:
                     left(w, seen | bit, (p,) + pos, need - 1)
 
-        left(a, (1 << a) | (1 << b), (j,), self.k - 2)
+        left(a, (1 << a) | (1 << b), (), self.k - 2)
         return paths
 
     def positions_to_colored(self, colors_by_pos: list[int]) -> ColoredGraph:
@@ -177,7 +178,7 @@ class _Searcher:
                         colors[j] = c
                         rainbow = False
                         for path in paths:
-                            acc = 0
+                            acc = bit
                             for p in path:
                                 pb = 1 << colors[p]
                                 if acc & pb:

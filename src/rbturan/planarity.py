@@ -1,15 +1,34 @@
 """Planarity decision via the left-right criterion on a DFS orientation.
 
 Boolean verdict only; no embedding or Kuratowski witness is produced.  The
-edge count bound e <= 3n-6 short-circuits dense graphs before the
-combinatorial test runs, and disconnected input is tested per component.
+edge count bound e <= 3n-6 short-circuits dense graphs before anything
+else runs.  The graph is then reduced to its kernel on adjacency bitmasks,
+repeating until no vertex qualifies:
+
+* a vertex of degree 0 or 1 is deleted;
+* a vertex v of degree 2 with neighbours u and w is smoothed: the path
+  u-v-w becomes the edge u-w, or, when u and w are already adjacent, v is
+  just deleted.
+
+Each step keeps planarity in both directions.  A vertex of degree at most
+one can always be redrawn next to its neighbour.  Smoothing replaces a
+graph by one it is a subdivision of, and subdivision neither creates nor
+destroys a subdivided K5 or K3,3 (Kuratowski).  A path u-v-w beside an
+existing edge u-w can be drawn alongside that edge.  On the kernel the
+Euler bound is applied again (reason "euler-bound" either way).  A kernel with at most 8 edges is planar
+because every nonplanar graph contains a subdivided K3,3 (9 edges) or K5
+(10 edges).  A kernel with at most 5 vertices that passed the Euler bound is
+planar because K5, which the bound rejects, is the only nonplanar graph on
+5 vertices.  Otherwise the left-right test runs on each component of the
+kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
-from .graphs import Graph, components
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -31,10 +50,81 @@ def is_planar(g: Graph) -> PlanarityVerdict:
     """Decide whether g embeds in the plane."""
     if len(g.edges) > planar_edge_cap(g.n):
         return PlanarityVerdict(False, "euler-bound")
-    for comp in components(g):
-        if len(comp) >= 5 and not _LRTest(g, comp).run():
-            return PlanarityVerdict(False, "combinatorial-test")
+    adj = _kernel(g)
+    kn = sum(1 for a in adj if a)
+    km = sum(a.bit_count() for a in adj) // 2
+    if km > planar_edge_cap(kn):
+        return PlanarityVerdict(False, "euler-bound")
+    if km > 8 and kn > 5:
+        nbrs = [tuple(_bits(a)) for a in adj]
+        for comp in _components(adj):
+            if len(comp) >= 5 and not _LRTest(nbrs, comp).run():
+                return PlanarityVerdict(False, "combinatorial-test")
     return PlanarityVerdict(True, "combinatorial-test")
+
+
+def _bits(x: int) -> Iterator[int]:
+    """Positions of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _kernel(g: Graph) -> list[int]:
+    """Adjacency bitmasks of g after deleting every vertex of degree <= 1
+    and smoothing every vertex of degree 2 until none is left; removed
+    vertices have an empty mask."""
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    # degrees never grow, so a vertex is reducible from the moment it is
+    # pushed; one that was reduced meanwhile has an empty mask
+    todo = [v for v in range(g.n) if adj[v].bit_count() <= 2]
+    while todo:
+        v = todo.pop()
+        nb = adj[v]
+        if not nb:
+            continue
+        adj[v] = 0
+        bv = 1 << v
+        low = nb & -nb
+        u = low.bit_length() - 1
+        if nb == low:  # degree 1: delete v
+            adj[u] ^= bv
+            if adj[u].bit_count() <= 2:
+                todo.append(u)
+            continue
+        w = (nb ^ low).bit_length() - 1
+        if adj[u] >> w & 1:  # triangle u-v-w: delete v
+            adj[u] ^= bv
+            adj[w] ^= bv
+            if adj[u].bit_count() <= 2:
+                todo.append(u)
+            if adj[w].bit_count() <= 2:
+                todo.append(w)
+        else:  # smooth u-v-w into u-w; degrees of u and w stay
+            adj[u] ^= bv | (1 << w)
+            adj[w] ^= bv | (1 << u)
+    return adj
+
+
+def _components(adj: list[int]) -> Iterator[list[int]]:
+    """Vertex lists, ascending, of the components with at least one edge."""
+    seen = 0
+    for s, a in enumerate(adj):
+        if not a or seen >> s & 1:
+            continue
+        comp = frontier = 1 << s
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= adj[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        seen |= comp
+        yield list(_bits(comp))
 
 
 class _Interval:
@@ -73,8 +163,8 @@ class _LRTest:
     while maintaining a stack of conflict pairs of back-edge intervals.
     """
 
-    def __init__(self, g: Graph, comp: list[int]):
-        self.g = g
+    def __init__(self, adj: Sequence[Sequence[int]], comp: list[int]):
+        self.adj = adj
         self.root = min(comp)
         self.comp = comp
         self.height: dict[int, int] = {}
@@ -93,11 +183,12 @@ class _LRTest:
         self.height[self.root] = 0
         self.parent_edge[self.root] = None
         self._dfs1(self.root)
-        for v in self.comp:
-            self.ordered[v] = sorted(
-                (e for e in self.oriented if e[0] == v),
-                key=lambda e: self.nesting[e],
-            )
+        # one pass over the set, in its iteration order, so that ties keep
+        # the order a per-vertex scan of the set would give them
+        for e in self.oriented:
+            self.ordered[e[0]].append(e)
+        for edges in self.ordered.values():
+            edges.sort(key=self.nesting.__getitem__)
         try:
             self._dfs2(self.root)
         except _NotPlanar:
@@ -107,7 +198,7 @@ class _LRTest:
     # -- phase 1: orientation ------------------------------------------
 
     def _dfs1(self, root: int) -> None:
-        stack = [(root, iter(self.g.adj[root]))]
+        stack = [(root, iter(self.adj[root]))]
         while stack:
             v, it = stack[-1]
             advanced = False
@@ -121,7 +212,7 @@ class _LRTest:
                 if w not in self.height:  # tree edge
                     self.parent_edge[w] = e
                     self.height[w] = self.height[v] + 1
-                    stack.append((w, iter(self.g.adj[w])))
+                    stack.append((w, iter(self.adj[w])))
                     advanced = True
                     break
                 self.lowpt[e] = self.height[w]  # back edge

@@ -337,3 +337,25 @@ def test_fixed_size_family_rejects_other_n(capsys, family, n):
     code, out, err = invoke(capsys, "construct", family, "-n", str(n), "--validate")
     assert code == 2 and out == ""
     assert "fixed" in err
+
+
+def test_color_multi_line_graph6_input_is_usage_error(capsys, tmp_path):
+    # a level file is not one graph: searching only its first line would
+    # report one verdict for a file of several graphs
+    path = tmp_path / "two.g6"
+    path.write_text("C~\n\nCr\n")
+    code, out, err = invoke(capsys, "color", "-k", "3", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "holds 2 graph6 lines" in err
+    # blank lines around a single graph do not count
+    path.write_text("\nCr\n\n")
+    code, out, _ = invoke(capsys, "color", "-k", "3", "--input", str(path))
+    assert code == 1 and parse(out)["status"] == "UNSAT"
+
+
+def test_validate_boolean_vertex_count_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text('{"n": true, "edges": []}')
+    code, out, err = invoke(capsys, "validate", "-k", "5", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "invalid vertex count" in err

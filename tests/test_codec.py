@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 
 import networkx as nx
 import pytest
@@ -15,6 +16,27 @@ from rbturan.codec import (
 )
 from rbturan.generation import LevelLadder
 from rbturan.graphs import build_colored_graph, build_graph
+
+
+def quadratic_graph6(g) -> str:
+    """The encoder as it was before it set one bit per edge: one probe of
+    the edge set per vertex pair, in column-major order."""
+    n = g.n
+    bits = 0
+    nbits = n * (n - 1) // 2
+    edge_set = g.edge_set
+    idx = nbits - 1
+    for v in range(1, n):
+        for u in range(v):
+            if (u, v) in edge_set:
+                bits |= 1 << idx
+            idx -= 1
+    need = (nbits + 5) // 6
+    bits <<= need * 6 - nbits
+    chars = [chr(n + 63)]
+    for i in range(need - 1, -1, -1):
+        chars.append(chr(((bits >> (6 * i)) & 63) + 63))
+    return "".join(chars)
 
 
 def reference_graph6(g) -> str:
@@ -75,6 +97,28 @@ def test_roundtrip_all_graphs_up_to_5_vertices():
                 assert line == reference_graph6(g)
 
 
+def test_encoder_matches_quadratic_reference_on_all_graphs_up_to_7_vertices():
+    for n in range(8):
+        ladder = LevelLadder(n)
+        for m in range(n * (n - 1) // 2 + 1):
+            for g in ladder.level(m):
+                line = encode_graph6(g)
+                assert line == quadratic_graph6(g), g
+                assert decode_graph6(line) == g
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 40, 62])
+def test_encoder_matches_quadratic_reference_on_random_graphs(n):
+    rng = random.Random(n)
+    pairs = list(itertools.combinations(range(n), 2))
+    for p in (0.0, 0.05, 0.3, 0.7, 1.0):
+        for _ in range(5):
+            g = build_graph(n, [e for e in pairs if rng.random() < p])
+            line = encode_graph6(g)
+            assert line == quadratic_graph6(g), (n, p)
+            assert decode_graph6(line) == g
+
+
 def test_decode_encode_identity_on_reference_lines():
     # encode(decode(line)) must reproduce the exact bytes
     for n in range(1, 7):
@@ -117,6 +161,23 @@ def test_colored_rejects_malformed():
         decode_colored(json.dumps({"n": 2}))
     with pytest.raises(CodecError, match="entry"):
         decode_colored(json.dumps({"n": 2, "edges": [[0, 1]]}))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": True, "edges": []},
+        {"n": 3, "edges": [[False, 1, 1]]},
+        {"n": 3, "edges": [[0, True, 1]]},
+        {"n": 3, "edges": [[0, 2, True]]},
+    ],
+    ids=["n", "u", "v", "color"],
+)
+def test_colored_rejects_booleans(doc):
+    # json booleans are Python bools, which are ints; they must not pass
+    # as a vertex count, an endpoint or a color
+    with pytest.raises(CodecError, match="invalid vertex count|non-integer"):
+        decode_colored(json.dumps(doc))
 
 
 def test_encode_colored_is_deterministic():

@@ -189,8 +189,9 @@ def test_buckets_hold_every_path_once_at_its_largest_position():
                 seen = Counter()
                 for j in range(m):
                     for path in searcher.bucket(j):
-                        assert len(path) == k - 1 and max(path) == j, (g, k, j, path)
-                        seen[frozenset(searcher.endpoints[p] for p in path)] += 1
+                        assert len(path) == k - 2 and max(path) < j, (g, k, j, path)
+                        edges = [searcher.endpoints[p] for p in path]
+                        seen[frozenset(edges + [searcher.endpoints[j]])] += 1
                 assert set(seen) == _brute_force_paths(g, k), (g, k)
                 assert set(seen.values()) <= {1}, (g, k)
 

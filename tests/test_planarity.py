@@ -8,7 +8,7 @@ import networkx as nx
 from rbturan.constructions import double_wheel, gn, icosahedron
 from rbturan.generation import LevelLadder
 from rbturan.graphs import Graph, build_graph
-from rbturan.planarity import is_planar
+from rbturan.planarity import _kernel, is_planar
 
 # ---------------------------------------------------------------------------
 # Independent oracle: non-planar iff a K5 or K3,3 minor exists (checked by
@@ -140,3 +140,88 @@ def test_relabel_stability():
         rng.shuffle(perm)
         relabeled = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
         assert is_planar(relabeled).planar == is_planar(g).planar
+
+
+def _networkx_planar(g: Graph) -> bool:
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    return nx.check_planarity(G, counterexample=False)[0]
+
+
+def test_agrees_with_networkx_on_every_class_on_7_vertices():
+    ladder = LevelLadder(7)
+    for m in range(22):
+        for g in ladder.level(m):
+            assert bool(is_planar(g)) == _networkx_planar(g), (m, g.edges)
+
+
+def _kernel_size(g: Graph) -> tuple[int, int]:
+    adj = _kernel(g)
+    return sum(1 for a in adj if a), sum(a.bit_count() for a in adj) // 2
+
+
+def _dress(core: list[tuple[int, int]], n: int, seed: int) -> Graph:
+    """core with every edge subdivided 0-2 times and a pendant tree hung on
+    every vertex, subdivision vertices included; vertices shuffled."""
+    rng = random.Random(seed)
+    edges = []
+    for u, v in core:
+        for _ in range(rng.randint(0, 2)):
+            edges.append((u, n))
+            u, n = n, n + 1
+        edges.append((u, v))
+    for v in range(n):
+        tip = v
+        for _ in range(rng.randint(0, 2)):
+            edges.append((tip, n))
+            tip = rng.choice([tip, n])
+            n += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+K5_EDGES = list(itertools.combinations(range(5), 2))
+K33_EDGES = [(a, b) for a in range(3) for b in range(3, 6)]
+
+
+def test_subdivided_kuratowski_graphs_with_pendant_trees_stay_nonplanar():
+    for seed in range(20):
+        k5 = _dress(K5_EDGES, 5, seed)
+        assert not is_planar(k5).planar, seed
+        assert _kernel_size(k5) == (5, 10)
+        k33 = _dress(K33_EDGES, 6, seed)
+        assert not is_planar(k33).planar, seed
+        assert _kernel_size(k33) == (6, 9)
+        assert not _networkx_planar(k5) and not _networkx_planar(k33)
+
+
+def test_k5_with_a_vertex_on_both_ends_of_an_edge_stays_nonplanar():
+    # the extra vertex sits beside the edge (0, 1) and is deleted, not
+    # smoothed into a second copy of it; the input passes the Euler bound
+    g = build_graph(6, K5_EDGES + [(0, 5), (1, 5)])
+    assert len(g.edges) <= 3 * g.n - 6
+    assert not is_planar(g).planar
+    assert _kernel_size(g) == (5, 10)
+
+
+def test_cycles_with_chords_stay_planar():
+    # outerplanar graphs always have a vertex of degree <= 2, so their
+    # kernel is empty; one crossing chord pair on a cycle is still planar
+    rng = random.Random(3)
+    for n in range(4, 16):
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        chords, stack = [], [(0, n - 1)]
+        while stack:  # nested, non-crossing chords
+            lo, hi = stack.pop()
+            if hi - lo >= 2 and rng.random() < 0.8:
+                mid = rng.randint(lo + 1, hi - 1)
+                chords += [(lo, mid)] if mid - lo >= 2 else []
+                chords += [(mid, hi)] if hi - mid >= 2 else []
+                stack += [(lo, mid), (mid, hi)]
+        g = build_graph(n, edges + [c for c in chords if c != (0, n - 1)])
+        assert is_planar(g).planar and _kernel_size(g) == (0, 0), g.edges
+        assert _networkx_planar(g)
+    crossed = build_graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4)])
+    assert is_planar(crossed).planar and _networkx_planar(crossed)
