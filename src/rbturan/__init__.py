@@ -12,7 +12,6 @@ from .graphs import (
     color_graph,
     disjoint_union,
     is_proper,
-    neighborhoods,
     normalize_colors,
     permute_colors,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "is_planar",
     "is_proper",
     "iter_coloring_classes",
-    "neighborhoods",
     "normalize_colors",
     "oracle_enumerate",
     "permute_colors",

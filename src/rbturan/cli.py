@@ -22,7 +22,7 @@ from typing import Any
 from . import __version__
 from .codec import CodecError, colored_to_doc, decode_colored, decode_graph6
 from .colorer import find_coloring
-from .constructions import FAMILIES, FAMILY_TABLE, ConstructionSpec, make, validate_construction
+from .constructions import FAMILIES, FAMILY_TABLE, make, validate_construction
 from .extremal import compute_extremal, run_level
 from .graphs import GraphError, is_proper
 from .lemmas import LEMMA_IDS, verify_lemma
@@ -75,12 +75,8 @@ def _read_text(path: str) -> str:
         raise CodecError(f"{path} is not UTF-8 text") from None
 
 
-def _read_colored(path: str):
-    return decode_colored(_read_text(path))
-
-
 def _cmd_detect(args) -> int:
-    cg = _read_colored(args.input)
+    cg = decode_colored(_read_text(args.input))
     proper = is_proper(cg)
     witness = find_rainbow_path(cg, args.k) if proper else None
     body: dict[str, Any] = {"proper": proper}
@@ -123,10 +119,10 @@ def _load_graph(args):
 
 def _cmd_color(args) -> int:
     g = _load_graph(args)
-    max_colors = args.max_colors if args.max_colors is not None else len(g.edges)
     t0 = time.monotonic()
-    out = find_coloring(g, args.k, max_colors, node_budget=args.budget_nodes)
+    out = find_coloring(g, args.k, args.max_colors, node_budget=args.budget_nodes)
     secs = time.monotonic() - t0
+    max_colors = args.max_colors if args.max_colors is not None else len(g.edges)
     config = {
         "k": args.k,
         "max_colors": max_colors,
@@ -184,8 +180,7 @@ def _cmd_lemma(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    spec = ConstructionSpec(args.family, n=args.n, copies=args.copies, base=args.base)
-    cg = make(spec)
+    cg = make(args.family, args.n, args.copies, args.base)
     k = args.k
     if k is None:
         base_family = args.base if args.family == "disjoint-copies" else args.family
@@ -281,7 +276,7 @@ def _cmd_refute(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cg = _read_colored(args.input)
+    cg = decode_colored(_read_text(args.input))
     expected = args.expect_edges if args.expect_edges is not None else len(cg.edges)
     rep = validate_construction(cg, args.k, expected)
     config = {"input": args.input, "k": args.k, "expect_edges": args.expect_edges}
@@ -302,20 +297,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"rbturan {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    jobs = _int_at_least(1, "JOBS")
-    budget = _int_at_least(0, "BUDGET_NODES")
+    # Flags shared by several subcommands, declared once.  The parents are
+    # built per call so the RBTURAN_* defaults are read on every run.
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
+        "--budget-nodes",
+        type=_int_at_least(0, "BUDGET_NODES"),
+        default=os.environ.get("RBTURAN_BUDGET_NODES"),
+    )
+    levels = argparse.ArgumentParser(add_help=False)
+    levels.add_argument(
+        "--jobs", type=_int_at_least(1, "JOBS"), default=os.environ.get("RBTURAN_JOBS", "1")
+    )
+    levels.add_argument("--from-graph6", default=None, help="candidate source file")
 
     p = sub.add_parser("detect", help="find a rainbow path in a colored graph")
     p.add_argument("-k", type=int, required=True, help="path vertex count")
     p.add_argument("--input", required=True, help="colored-graph JSON file")
     p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("color", help="search for a rainbow-free proper coloring")
+    p = sub.add_parser("color", parents=[budget], help="search for a rainbow-free proper coloring")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--graph6", help="inline graph6 text")
     p.add_argument("--input", help="graph6 or colored-graph JSON file")
     p.add_argument("--max-colors", type=int, default=None)
-    p.add_argument("--budget-nodes", type=budget, default=os.environ.get("RBTURAN_BUDGET_NODES"))
     p.set_defaults(func=_cmd_color)
 
     p = sub.add_parser("lemma", help="verify a coloring-scheme lemma by enumeration")
@@ -333,22 +338,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-edges", type=int, default=None)
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("extremal", help="compute the certified extremal value")
+    p = sub.add_parser(
+        "extremal", parents=[budget, levels], help="compute the certified extremal value"
+    )
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--jobs", type=jobs, default=os.environ.get("RBTURAN_JOBS", "1"))
-    p.add_argument("--budget-nodes", type=budget, default=os.environ.get("RBTURAN_BUDGET_NODES"))
-    p.add_argument("--from-graph6", default=None, help="candidate source file")
     p.add_argument("--expect", type=int, default=None, help="fail unless value matches")
     p.set_defaults(func=_cmd_extremal)
 
-    p = sub.add_parser("refute", help="show every candidate of a level is UNSAT")
+    p = sub.add_parser(
+        "refute", parents=[budget, levels], help="show every candidate of a level is UNSAT"
+    )
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--jobs", type=jobs, default=os.environ.get("RBTURAN_JOBS", "1"))
-    p.add_argument("--budget-nodes", type=budget, default=os.environ.get("RBTURAN_BUDGET_NODES"))
-    p.add_argument("--from-graph6", default=None)
     p.add_argument("--no-reduced", action="store_true", help="drop the reduction filter")
     p.add_argument("--no-planar", action="store_true", help="drop the planarity filter")
     p.set_defaults(func=_cmd_refute)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .graphs import ColoredGraph, Graph, GraphError, build_colored_graph, build_graph
+from .graphs import ColoredGraph, Graph, GraphError, build_colored_graph
 
 GRAPH6_HEADER = ">>graph6<<"
 MAX_N = 62
@@ -25,7 +25,7 @@ class CodecError(ValueError):
     """Malformed graph6 line or colored-graph document."""
 
 
-def decode_graph6(line: str, max_n: int = MAX_N) -> Graph:
+def decode_graph6(line: str) -> Graph:
     """Decode one graph6 line (optional '>>graph6<<' header tolerated)."""
     s = line.strip()
     if s.startswith(GRAPH6_HEADER):
@@ -43,8 +43,6 @@ def decode_graph6(line: str, max_n: int = MAX_N) -> Graph:
     if n == 63:
         # long size field: n >= 63
         raise CodecError(f"graph6 size field exceeds supported n <= {MAX_N}")
-    if n > max_n:
-        raise CodecError(f"n={n} beyond configured limit {max_n}")
     body = data[1:]
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
@@ -64,7 +62,8 @@ def decode_graph6(line: str, max_n: int = MAX_N) -> Graph:
             if bits >> idx & 1:
                 edges.append((u, v))
             idx -= 1
-    return build_graph(n, edges)
+    # the bit layout admits no loop, duplicate or out-of-range edge
+    return Graph(n, tuple(sorted(edges)))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -87,14 +86,14 @@ def encode_graph6(g: Graph) -> str:
     return "".join(chars)
 
 
-def read_graph6_file(path: str, max_n: int = MAX_N) -> list[Graph]:
+def read_graph6_file(path: str) -> list[Graph]:
     """Read a file with one graph6 line per graph; blank lines skipped."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [line.strip() for line in fh]
     except UnicodeDecodeError:
         raise CodecError(f"{path} is not a graph6 file: it holds non-ASCII bytes") from None
-    return [decode_graph6(line, max_n=max_n) for line in lines if line]
+    return [decode_graph6(line) for line in lines if line]
 
 
 def encode_colored(cg: ColoredGraph, meta: dict[str, Any] | None = None) -> str:

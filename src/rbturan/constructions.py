@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
-from .colorer import find_coloring
 from .graphs import (
     ColoredGraph,
     GraphError,
@@ -41,13 +40,6 @@ from .graphs import (
 )
 from .planarity import is_planar, planar_edge_cap
 from .rainbow import find_rainbow_path
-
-@dataclass(frozen=True)
-class ConstructionSpec:
-    family: str
-    n: int | None = None
-    copies: int = 1
-    base: str | None = None  # for disjoint-copies
 
 
 @dataclass(frozen=True)
@@ -226,19 +218,6 @@ def icosahedron() -> ColoredGraph:
     return ColoredGraph(g, ICOSAHEDRON_COLORS)
 
 
-def regenerate_frozen(family: str) -> ColoredGraph:
-    """Re-derive a frozen coloring with the search (max_colors = Delta),
-    avoiding the family's own path length."""
-    if family not in ("octahedron", "icosahedron"):
-        raise GraphError(f"no frozen coloring for family {family!r}")
-    row = FAMILY_TABLE[family]
-    g = row.build().graph
-    out = find_coloring(g, row.avoids, max(g.degrees()))
-    if not out.sat:  # pragma: no cover - both graphs are class 1
-        raise GraphError(f"{family} admits no proper Delta-edge-coloring?")
-    return out.certificate
-
-
 @dataclass(frozen=True)
 class Family:
     """The facts of one family, each stated once: its builder (called with
@@ -273,26 +252,27 @@ FAMILY_TABLE: dict[str, Family] = {
 FAMILIES = (*FAMILY_TABLE, "disjoint-copies")
 
 
-def make(spec: ConstructionSpec) -> ColoredGraph:
-    """Build the colored graph described by spec."""
-    fam = spec.family
-    if fam == "disjoint-copies":
-        if spec.base is None or spec.base == "disjoint-copies":
+def make(
+    family: str, n: int | None = None, copies: int = 1, base: str | None = None
+) -> ColoredGraph:
+    """Build a family's colored graph on n vertices; disjoint-copies builds
+    `copies` disjoint copies of the base family."""
+    if family == "disjoint-copies":
+        if base is None or base == "disjoint-copies":
             raise GraphError("disjoint-copies needs a base family")
-        if spec.copies < 1:
-            raise GraphError(f"copies must be >= 1, got {spec.copies}")
-        part = make(ConstructionSpec(spec.base, n=spec.n))
-        return disjoint_union([part] * spec.copies)
-    if fam not in FAMILY_TABLE:
-        raise GraphError(f"unknown family {fam!r}; known: {', '.join(FAMILIES)}")
-    row = FAMILY_TABLE[fam]
+        if copies < 1:
+            raise GraphError(f"copies must be >= 1, got {copies}")
+        return disjoint_union([make(base, n)] * copies)
+    if family not in FAMILY_TABLE:
+        raise GraphError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    row = FAMILY_TABLE[family]
     if row.fixed_n is not None:
-        if spec.n not in (None, row.fixed_n):
-            raise GraphError(f"{fam} is a fixed {row.fixed_n}-vertex graph")
+        if n not in (None, row.fixed_n):
+            raise GraphError(f"{family} is a fixed {row.fixed_n}-vertex graph")
         return row.build()
-    if spec.n is None:
-        raise GraphError(f"family {fam!r} needs a vertex count")
-    return row.build(spec.n)
+    if n is None:
+        raise GraphError(f"family {family!r} needs a vertex count")
+    return row.build(n)
 
 
 def validate_construction(cg: ColoredGraph, k: int, expected_edges: int) -> ValidationReport:

@@ -17,6 +17,7 @@ Values claimed at other bounds are refuted without the reduction filter.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -24,7 +25,7 @@ from typing import Any
 
 from .codec import colored_to_doc, encode_graph6, read_graph6_file
 from .colorer import BUDGET_EXCEEDED, SAT, UNSAT, find_coloring
-from .constructions import FAMILY_TABLE, ConstructionSpec, make, validate_construction
+from .constructions import FAMILY_TABLE, make, validate_construction
 from .generation import LevelLadder
 from .graphs import ColoredGraph, Graph, GraphError, build_colored_graph
 from .planarity import is_planar, planar_edge_cap
@@ -55,13 +56,8 @@ class CandidateStream:
     filters: tuple[str, ...]
 
 
-_LADDERS: dict[int, LevelLadder] = {}
-
-
-def _ladder(n: int) -> LevelLadder:
-    if n not in _LADDERS:
-        _LADDERS[n] = LevelLadder(n)
-    return _LADDERS[n]
+# one ladder per vertex count, kept for the life of the process
+_ladder = functools.cache(LevelLadder)
 
 
 def enumerate_candidates(
@@ -171,11 +167,11 @@ def _solve_chunk(payload: tuple) -> list[tuple[int, str, int, tuple[int, ...] | 
     Returns (index, status, nodes, certificate colors) per graph; the
     certificate is kept only for the chunk's first SAT candidate.
     """
-    graphs, start, k, max_colors, node_budget = payload
+    graphs, start, k, node_budget = payload
     out = []
     have_sat = False
     for off, g in enumerate(graphs):
-        outcome = find_coloring(g, k, max_colors, node_budget=node_budget)
+        outcome = find_coloring(g, k, node_budget=node_budget)
         cert = None
         if outcome.sat and not have_sat:
             cert = outcome.certificate.colors
@@ -199,14 +195,17 @@ def run_level(
     the (n, m) level.  The level PASSes when every candidate is UNSAT;
     any budget-exceeded outcome poisons the level (BUDGET), it is never
     silently dropped."""
+    if m < 0:
+        raise GraphError(f"need m >= 0, got m={m}")
+    if k < 3:
+        raise GraphError(f"need k >= 3, got k={k}")
     stream = enumerate_candidates(
         n, m, reduced=reduced, planar=planar, graph6_path=graph6_path
     )
     results: list[tuple[int, str, int, tuple[int, ...] | None]] = []
     graphs = stream.graphs
-    max_colors = max(1, m)  # the searcher needs a positive budget even at m=0
     if jobs <= 1 or len(graphs) <= 1:
-        results = _solve_chunk((graphs, 0, k, max_colors, node_budget))
+        results = _solve_chunk((graphs, 0, k, node_budget))
     else:
         jobs = min(jobs, len(graphs))
         size = (len(graphs) + jobs - 1) // jobs
@@ -214,7 +213,7 @@ def run_level(
         for w in range(jobs):
             chunk = graphs[w * size : (w + 1) * size]
             if chunk:
-                payloads.append((chunk, w * size, k, max_colors, node_budget))
+                payloads.append((chunk, w * size, k, node_budget))
         try:
             ctx = get_context("fork")
         except ValueError:  # platforms without fork; Graph payloads pickle fine
@@ -317,7 +316,7 @@ def _claimed_achiever(n: int, k: int) -> tuple[ColoredGraph, str] | None:
         reach = range(fam.avoids, n + 1) if fam.edges is planar_edge_cap else (fam.avoids,)
         if fam.claimed and k in reach:
             try:
-                return make(ConstructionSpec(name, n=n)), name
+                return make(name, n), name
             except GraphError:
                 continue
     return None
@@ -346,114 +345,96 @@ def compute_extremal(
     if k < 3:
         raise GraphError(f"need k >= 3, got k={k}")
     cap = planar_edge_cap(n)
+    source = "built-in" if graph6_path is None else f"graph6:{graph6_path}"
+
+    def run(plan):
+        """Each (n', m', reduced) level of the plan, run in order on
+        demand; only level n'=n reads the graph6 file."""
+        for n2, m2, reduced in plan:
+            yield run_level(
+                n2,
+                m2,
+                k,
+                reduced=reduced,
+                jobs=jobs,
+                node_budget=node_budget,
+                graph6_path=graph6_path if n2 == n else None,
+            )
+
     claim = _claimed_achiever(n, k)
-    if claim is not None:
-        achiever, label = claim
-        value = len(achiever.edges)
-        gate = validate_construction(achiever, k, value)
-        if not gate.passed:  # pragma: no cover - constructions are validated
-            raise GraphError(f"claimed achiever {label} failed validation: {gate}")
-        chain: tuple[LevelReport, ...] = ()
-        refutation: LevelReport | None = None
-        status = "OK"
-        if value < cap:
-            if value == (3 * n) // 2:
-                # reduction-filtered minimality chain over all n' <= n; the
-                # top level may come from an external graph6 file
-                last_builtin = n if graph6_path is None else n - 1
-                if last_builtin > BUILTIN_MAX_N:
-                    first = BUILTIN_MAX_N + 1
-                    span = f"{first}..{last_builtin}" if last_builtin > first else f"{first}"
-                    raise GraphError(
-                        f"the reduced chain for n={n} needs built-in generation for "
-                        f"n'={span}, beyond the cap n <= {BUILTIN_MAX_N}; "
-                        f"--from-graph6 feeds only the top level n'={n}"
-                    )
-                levels = []
-                for n2 in range(4, n + 1):
-                    levels.append(
-                        run_level(
-                            n2,
-                            (3 * n2) // 2 + 1,
-                            k,
-                            reduced=True,
-                            planar=True,
-                            jobs=jobs,
-                            node_budget=node_budget,
-                            graph6_path=graph6_path if n2 == n else None,
-                        )
-                    )
-                chain = tuple(levels)
-                refutation = levels[-1]
-            else:
-                refutation = run_level(
-                    n,
-                    value + 1,
-                    k,
-                    reduced=False,
-                    planar=True,
-                    jobs=jobs,
-                    node_budget=node_budget,
-                    graph6_path=graph6_path,
+    if claim is None:
+        # No known construction: descend the levels from the planar cap.
+        # (graph6 files describe a single level, so descent is built-in only.)
+        if graph6_path is not None:
+            raise GraphError(
+                f"no known construction for n={n}, k={k}, and level descent is "
+                f"built-in only: it cannot read --from-graph6 {graph6_path}"
+            )
+        if n > BUILTIN_MAX_N:
+            raise GraphError(
+                f"no known construction for n={n}, k={k}, and level descent is "
+                f"built-in only, which caps at n <= {BUILTIN_MAX_N}"
+            )
+        previous: LevelReport | None = None
+        for level in run((n, m, False) for m in range(cap, -1, -1)):
+            if level.status == "BUDGET":
+                raise GraphError(
+                    f"level ({n},{level.m}) exhausted the search budget; "
+                    "rerun with a larger --budget-nodes"
                 )
-            bad = [lv for lv in (chain or (refutation,)) if not lv.passed]
-            if bad:
-                status = "BUDGET" if all(lv.status == "BUDGET" for lv in bad) else "FAIL"
-        elif graph6_path is not None:
-            raise GraphError(
-                f"the value {value} at n={n}, k={k} is the planar edge maximum, so no "
-                f"level is refuted and --from-graph6 {graph6_path} would not be read"
-            )
-        return ExtremalReport(
-            n=n,
-            k=k,
-            value=value,
-            achiever=achiever,
-            achiever_provenance=f"construction:{label}",
-            refutation=refutation,
-            chain=chain,
-            source="built-in" if graph6_path is None else f"graph6:{graph6_path}",
-            status=status,
-        )
-    # No known construction: descend the levels from the planar cap.
-    # (graph6 files describe a single level, so descent is built-in only.)
-    if graph6_path is not None:
+            if level.first_sat_index is not None:
+                return ExtremalReport(
+                    n=n,
+                    k=k,
+                    value=level.m,
+                    achiever=level.first_sat_certificate,
+                    achiever_provenance=f"search:index-{level.first_sat_index}",
+                    refutation=previous,
+                    chain=(),
+                    source=source,
+                    status="OK",
+                )
+            previous = level
+        raise GraphError(f"no level of ({n}, k={k}) is satisfiable")  # pragma: no cover
+    achiever, label = claim
+    value = len(achiever.edges)
+    gate = validate_construction(achiever, k, value)
+    if not gate.passed:  # pragma: no cover - constructions are validated
+        raise GraphError(f"claimed achiever {label} failed validation: {gate}")
+    if value == cap:  # no planar graph has more edges: nothing to refute
+        plan = []
+    elif value == (3 * n) // 2:  # the reduced minimality chain over n' <= n
+        plan = [(n2, (3 * n2) // 2 + 1, True) for n2 in range(4, n + 1)]
+    else:
+        plan = [(n, value + 1, False)]
+    if not plan and graph6_path is not None:
         raise GraphError(
-            f"no known construction for n={n}, k={k}, and level descent is "
-            f"built-in only: it cannot read --from-graph6 {graph6_path}"
+            f"the value {value} at n={n}, k={k} is the planar edge maximum, so no "
+            f"level is refuted and --from-graph6 {graph6_path} would not be read"
         )
-    if n > BUILTIN_MAX_N:
+    # the graph6 file feeds the top level only; every other level is built-in
+    beyond = [n2 for n2, _, _ in plan if n2 > BUILTIN_MAX_N and (n2 < n or graph6_path is None)]
+    if beyond:
+        first = BUILTIN_MAX_N + 1
+        span = f"{first}..{beyond[-1]}" if beyond[-1] > first else f"{first}"
         raise GraphError(
-            f"no known construction for n={n}, k={k}, and level descent is "
-            f"built-in only, which caps at n <= {BUILTIN_MAX_N}"
+            f"refuting the value {value} at n={n}, k={k} needs built-in generation "
+            f"for n'={span}, beyond the cap n <= {BUILTIN_MAX_N}; "
+            f"--from-graph6 feeds only the top level n'={n}"
         )
-    previous: LevelReport | None = None
-    for m in range(cap, -1, -1):
-        level = run_level(
-            n,
-            m,
-            k,
-            reduced=False,
-            planar=True,
-            jobs=jobs,
-            node_budget=node_budget,
-        )
-        if level.status == "BUDGET":
-            raise GraphError(
-                f"level ({n},{m}) exhausted the search budget; "
-                "rerun with a larger --budget-nodes"
-            )
-        if level.first_sat_index is not None:
-            return ExtremalReport(
-                n=n,
-                k=k,
-                value=m,
-                achiever=level.first_sat_certificate,
-                achiever_provenance=f"search:index-{level.first_sat_index}",
-                refutation=previous,
-                chain=(),
-                source=level.source,
-                status="OK",
-            )
-        previous = level
-    raise GraphError(f"no level of ({n}, k={k}) is satisfiable")  # pragma: no cover
+    levels = tuple(run(plan))
+    bad = [lv for lv in levels if not lv.passed]
+    status = "OK"
+    if bad:
+        status = "BUDGET" if all(lv.status == "BUDGET" for lv in bad) else "FAIL"
+    return ExtremalReport(
+        n=n,
+        k=k,
+        value=value,
+        achiever=achiever,
+        achiever_provenance=f"construction:{label}",
+        refutation=levels[-1] if levels else None,
+        chain=levels if plan and plan[0][2] else (),  # a reduced plan is the chain
+        source=source,
+        status=status,
+    )

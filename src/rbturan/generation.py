@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph, GraphError, build_graph, components
+from .graphs import Graph, GraphError, build_graph
 
 CANONICAL_MAX_N = 10
 
@@ -189,20 +189,6 @@ def _graph_of_code(n: int, code: int) -> Graph:
     return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n) if rows[i] >> j & 1))
 
 
-def component_certificate(g: Graph) -> tuple:
-    """Isomorphism certificate for graphs of any vertex count whose
-    connected components each fit the canonical-form guard."""
-    certs = []
-    for comp in components(g):
-        pos = {v: i for i, v in enumerate(comp)}
-        sub = build_graph(
-            len(comp),
-            [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos],
-        )
-        certs.append((sub.n, canonical_form(sub)))
-    return tuple(sorted(certs))
-
-
 class LevelLadder:
     """All isomorphism classes of graphs on exactly n labeled-id vertices,
     grouped by edge count and built on demand by canonical augmentation.
@@ -253,33 +239,3 @@ class LevelLadder:
                         codes.append(code)
         codes.sort()
         self._levels.append([_graph_of_code(n, code) for code in codes])
-
-
-def graphs_with_at_most_edges(max_m: int) -> dict[int, list[Graph]]:
-    """All isomorphism classes with m <= max_m edges and no isolated
-    vertices, keyed by edge count.  Components of an m-edge graph have at
-    most m+1 vertices, so the per-component canonical form stays within
-    the guard for max_m <= 9."""
-    levels: dict[int, list[Graph]] = {0: [Graph(0, ())]}
-    for m in range(max_m):
-        seen: set[tuple] = set()
-        out: list[Graph] = []
-        for parent in levels[m]:
-            n = parent.n
-            extensions: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if (u, v) not in parent.edge_set:
-                        extensions.append((n, parent.edges + ((u, v),)))
-            for u in range(n):
-                extensions.append((n + 1, parent.edges + ((u, n),)))
-            extensions.append((n + 2, parent.edges + ((n, n + 1),)))
-            for nn, edges in extensions:
-                child = build_graph(nn, edges)
-                cert = component_certificate(child)
-                if cert in seen:
-                    continue
-                seen.add(cert)
-                out.append(child)
-        levels[m + 1] = out
-    return levels

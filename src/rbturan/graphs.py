@@ -73,40 +73,6 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(sorted(seen)))
 
 
-def components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components in depth-first order, each
-    starting at its smallest vertex."""
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(comp)
-    return comps
-
-
-def neighborhoods(g: Graph, v: int) -> tuple[frozenset[int], frozenset[int]]:
-    """Vertices at distance exactly 1 and exactly 2 from v."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range for n={g.n}")
-    n1 = frozenset(g.adj[v])
-    n2: set[int] = set()
-    for u in n1:
-        n2.update(g.adj[u])
-    n2.discard(v)
-    n2 -= n1
-    return n1, frozenset(n2)
-
-
 @dataclass(frozen=True)
 class ColoredGraph:
     """A Graph with a total edge -> color assignment.

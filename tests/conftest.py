@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from rbturan.generation import graphs_with_at_most_edges
+from helpers import graphs_with_at_most_edges
 
 
 @pytest.fixture(scope="session")

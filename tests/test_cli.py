@@ -133,6 +133,18 @@ def test_color_budget_exit_3(capsys):
     assert parse(out)["status"] == "BUDGET_EXCEEDED"
 
 
+@pytest.mark.parametrize("graph6", ["@", "A?"])
+def test_color_edgeless_graph_is_sat(capsys, graph6):
+    # max_colors defaults to e(g) = 0, and the empty coloring is SAT
+    code, out, _ = invoke(capsys, "color", "-k", "5", "--graph6", graph6)
+    assert code == 0
+    doc = parse(out)
+    assert doc["status"] == "SAT" and doc["config"]["max_colors"] == 0
+    assert doc["certificate"]["edges"] == []
+    code, out, err = invoke(capsys, "color", "-k", "5", "--graph6", graph6, "--max-colors", "0")
+    assert code == 2 and out == "" and "max_colors" in err
+
+
 def test_construct_validate(capsys):
     code, out, _ = invoke(capsys, "construct", "gn", "-n", "12", "--validate")
     assert code == 0
@@ -164,6 +176,15 @@ def test_refute_pass(capsys):
     doc = parse(out)
     assert doc["status"] == "PASS" and doc["counts"]["unsat"] == 11
     assert "PASS" in err
+
+
+@pytest.mark.parametrize(
+    "n, m, k, message", [("5", "-1", "5", "m >= 0"), ("4", "7", "1", "k >= 3")]
+)
+def test_refute_rejects_malformed_level(capsys, n, m, k, message):
+    code, out, err = invoke(capsys, "refute", "-n", n, "-m", m, "-k", k)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_validate_roundtrips_certificates(capsys, tmp_path):

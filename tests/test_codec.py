@@ -80,8 +80,9 @@ def test_truncated_body():
 
 
 def test_size_limit():
-    with pytest.raises(CodecError, match="limit"):
-        decode_graph6("C~", max_n=3)
+    # "~" opens the long size field of n >= 63: beyond the n <= 62 support
+    with pytest.raises(CodecError, match="size field"):
+        decode_graph6("~??~" + "?" * 326)  # the edgeless 63-vertex graph
     big = build_graph(63, [])
     with pytest.raises(CodecError, match="size field"):
         encode_graph6(big)

@@ -4,7 +4,6 @@ import pytest
 
 from rbturan.constructions import (
     FAMILY_TABLE,
-    ConstructionSpec,
     double_wheel,
     g5,
     g7,
@@ -14,11 +13,12 @@ from rbturan.constructions import (
     k4_blocks,
     make,
     octahedron,
-    regenerate_frozen,
     validate_construction,
 )
 from rbturan.graphs import GraphError, build_colored_graph, normalize_colors
 from rbturan.rainbow import find_rainbow_path
+
+from helpers import regenerate_frozen
 
 
 def test_g5_shape():
@@ -144,27 +144,27 @@ def test_frozen_colorings_regenerate():
 
 
 def test_make_dispatch_and_domains():
-    assert make(ConstructionSpec("gn", n=12)).n == 12
-    assert make(ConstructionSpec("octahedron")).n == 6
+    assert make("gn", n=12).n == 12
+    assert make("octahedron").n == 6
     with pytest.raises(GraphError):
-        make(ConstructionSpec("octahedron", n=7))
+        make("octahedron", n=7)
     with pytest.raises(GraphError):
-        make(ConstructionSpec("gn"))
+        make("gn")
     with pytest.raises(GraphError):
-        make(ConstructionSpec("no-such-family", n=4))
+        make("no-such-family", n=4)
 
 
 def test_disjoint_copies():
-    cg = make(ConstructionSpec("disjoint-copies", base="octahedron", copies=3))
+    cg = make("disjoint-copies", base="octahedron", copies=3)
     assert cg.n == 18 and len(cg.edges) == 36
     assert validate_construction(cg, 6, 36).passed
     with pytest.raises(GraphError):
-        make(ConstructionSpec("disjoint-copies", copies=2))
+        make("disjoint-copies", copies=2)
 
 
 def test_disjoint_copies_of_rainbow_free_part_stays_rainbow_free():
     for base, k in (("g5", 5), ("icosahedron", 7)):
-        cg = make(ConstructionSpec("disjoint-copies", base=base, copies=2))
+        cg = make("disjoint-copies", base=base, copies=2)
         assert find_rainbow_path(cg, k) is None
 
 

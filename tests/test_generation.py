@@ -10,10 +10,11 @@ from rbturan.generation import (
     LevelLadder,
     _graph_of_code,
     canonical_form,
-    component_certificate,
     relabel,
 )
 from rbturan.graphs import GraphError, build_graph
+
+from helpers import component_certificate
 
 # graphs on n vertices by edge count
 LEVEL_COUNTS = {

@@ -25,8 +25,10 @@ import pytest
 from rbturan.cli import run
 from rbturan.codec import encode_graph6
 from rbturan.constructions import double_wheel
+from rbturan.generation import LevelLadder
 
 CERT = "gn12.json"
+LEVEL = "level_6_10.g6"
 
 COMMANDS: dict[str, list[str]] = {
     "extremal-5-5-expect": ["extremal", "-n", "5", "-k", "5", "--expect", "7"],
@@ -37,7 +39,15 @@ COMMANDS: dict[str, list[str]] = {
     "extremal-12-7-icosahedron": ["extremal", "-n", "12", "-k", "7"],
     "extremal-10-8-double-wheel": ["extremal", "-n", "10", "-k", "8"],
     "extremal-9-8-k2-path": ["extremal", "-n", "9", "-k", "8"],
+    "extremal-7-5-chain": ["extremal", "-n", "7", "-k", "5"],
+    "extremal-6-5-jobs-2": ["extremal", "-n", "6", "-k", "5", "--jobs", "2"],
+    "extremal-6-5-from-graph6": [
+        "extremal", "-n", "6", "-k", "5", "--from-graph6", LEVEL,
+    ],
     "refute-6-10-5": ["refute", "-n", "6", "-m", "10", "-k", "5"],
+    "refute-5-8-5-unfiltered": [
+        "refute", "-n", "5", "-m", "8", "-k", "5", "--no-reduced", "--no-planar",
+    ],
     "color-5-C~": ["color", "-k", "5", "--graph6", "C~"],
     "color-8-double-wheel-18": [
         "color", "-k", "8", "--graph6", encode_graph6(double_wheel(18).graph),
@@ -79,9 +89,13 @@ GOLDEN: dict[str, tuple[int, str]] = {
     "extremal-5-5-expect": (0, "8cc209f7f04212ae41aa49189ad39c069afd4faff87158a10a49da069dad9f37"),
     "extremal-6-3-matching": (0, "99d3ade027ee223d568f3eacf479bb304649c60d24e415166a2ef2e6ec8f67c5"),
     "extremal-6-4-descent": (0, "778cf1ff37d1b5796ac411dc1046498901ab6883e4f3037d0b0dbbbd4ba9987b"),
+    "extremal-6-5-from-graph6": (0, "a557f7f3aad390cd33f072577c9917f3616bb5f5430cbf4aee74e7008388913a"),
+    "extremal-6-5-jobs-2": (0, "bcd1aeee9bd3ece5da360dc03a1ae2c6e8a8ecc74e4ff6d4db4991eae413d59c"),
     "extremal-6-6-octahedron": (0, "a53f83d0b075c0042f82c175ab05a2c186b6b7ed90b1a2caea718c10e45b1979"),
+    "extremal-7-5-chain": (0, "2b16139446c81daa0b4bf4f455b0e4700250e01d19f3dce418c7a0ec3cd2aca6"),
     "extremal-9-8-k2-path": (0, "9910dc84d9946d4bc4dd94451b6dcd5c0d2e23d53fbb031cfeccda6424efa843"),
     "lemma-all": (0, "47dc47e682821b8a26394badc7736b537d1154b67723c283a8873522a8383ea2"),
+    "refute-5-8-5-unfiltered": (0, "05fc893bb2718ef762a84de7a66221e68a6e3db993abb8a73426da0acca769ae"),
     "refute-6-10-5": (0, "8fe2b641d1bb20818a82c4294b0582b1d19088f423b5bf8efaacecf3d09fb01f"),
     "validate-gn12": (0, "ce33f846f0e12c58808fa6b1361e0cbcbd28ae098f20fb8aed1b898085be56eb"),
 }
@@ -94,19 +108,22 @@ def _run(argv: list[str]) -> tuple[int, bytes]:
     return code, out.getvalue().encode()
 
 
-def _write_certificate(directory: str) -> None:
-    """The gn(12) certificate as `construct` emits it."""
+def _write_inputs(directory: str) -> None:
+    """The gn(12) certificate as `construct` emits it, and the built-in
+    (6,10) level as a graph6 file."""
     code, out = _run(["construct", "gn", "-n", "12"])
     assert code == 0
     graph = json.loads(out)["graph"]
     with open(os.path.join(directory, CERT), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(graph))
+    with open(os.path.join(directory, LEVEL), "w", encoding="ascii") as fh:
+        fh.write("".join(encode_graph6(g) + "\n" for g in LevelLadder(6).level(10)))
 
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden")
-    _write_certificate(str(path))
+    _write_inputs(str(path))
     return path
 
 
@@ -122,7 +139,7 @@ def main() -> None:
     import tempfile
 
     with tempfile.TemporaryDirectory() as directory:
-        _write_certificate(directory)
+        _write_inputs(directory)
         here = os.getcwd()
         os.chdir(directory)
         try:

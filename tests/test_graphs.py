@@ -12,7 +12,6 @@ from rbturan.graphs import (
     color_graph,
     disjoint_union,
     is_proper,
-    neighborhoods,
     normalize_colors,
     permute_colors,
 )
@@ -56,29 +55,6 @@ def test_canonical_storage_under_input_permutation():
         rng.shuffle(shuffled)
         flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in shuffled]
         assert build_graph(4, flipped) == g
-
-
-def test_neighborhoods_star():
-    g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    n1, n2 = neighborhoods(g, 0)
-    assert n1 == {1, 2, 3}
-    assert n2 == frozenset()
-
-
-def test_neighborhoods_path_and_cycle():
-    p = build_graph(3, [(0, 1), (1, 2)])
-    assert neighborhoods(p, 0) == ({1}, {2})
-    c5 = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
-    for v in range(5):
-        n1, n2 = neighborhoods(c5, v)
-        assert len(n1) == 2 and len(n2) == 2
-        assert not n1 & n2
-
-
-def test_neighborhoods_out_of_range():
-    g = build_graph(2, [(0, 1)])
-    with pytest.raises(GraphError):
-        neighborhoods(g, 2)
 
 
 def test_is_proper_figure_k4():
