@@ -318,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", parents=[budget], help="search for a rainbow-free proper coloring")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--graph6", help="inline graph6 text")
-    p.add_argument("--input", help="graph6 or colored-graph JSON file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--graph6", help="inline graph6 text")
+    source.add_argument("--input", help="graph6 or colored-graph JSON file")
     p.add_argument("--max-colors", type=int, default=None)
     p.set_defaults(func=_cmd_color)
 

@@ -87,24 +87,22 @@ def encode_graph6(g: Graph) -> str:
 
 
 def read_graph6_file(path: str) -> list[Graph]:
-    """Read a file with one graph6 line per graph; blank lines skipped."""
+    """Read a file with one graph6 line per graph; blank lines skipped.  A
+    file with no graph6 line is rejected."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [line.strip() for line in fh]
     except UnicodeDecodeError:
         raise CodecError(f"{path} is not a graph6 file: it holds non-ASCII bytes") from None
-    return [decode_graph6(line) for line in lines if line]
+    graphs = [decode_graph6(line) for line in lines if line]
+    if not graphs:
+        raise CodecError(f"{path} holds no graph6 line")
+    return graphs
 
 
 def encode_colored(cg: ColoredGraph, meta: dict[str, Any] | None = None) -> str:
     """Serialize a ColoredGraph to its JSON document (deterministic bytes)."""
-    doc: dict[str, Any] = {
-        "n": cg.n,
-        "edges": [[u, v, c] for (u, v), c in zip(cg.edges, cg.colors)],
-    }
-    if meta is not None:
-        doc["meta"] = meta
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return json.dumps(colored_to_doc(cg, meta), sort_keys=True, separators=(",", ":"))
 
 
 def decode_colored(text: str) -> ColoredGraph:
@@ -151,4 +149,11 @@ def colored_from_doc(doc: Any) -> ColoredGraph:
 
 
 def colored_to_doc(cg: ColoredGraph, meta: dict[str, Any] | None = None) -> dict[str, Any]:
-    return json.loads(encode_colored(cg, meta=meta))
+    """The JSON document of a ColoredGraph, as a dict."""
+    doc: dict[str, Any] = {
+        "n": cg.n,
+        "edges": [[u, v, c] for (u, v), c in zip(cg.edges, cg.colors)],
+    }
+    if meta is not None:
+        doc["meta"] = meta
+    return doc

@@ -263,6 +263,8 @@ def make(
         if copies < 1:
             raise GraphError(f"copies must be >= 1, got {copies}")
         return disjoint_union([make(base, n)] * copies)
+    if copies != 1 or base is not None:
+        raise GraphError(f"copies and base apply to disjoint-copies only, not {family}")
     if family not in FAMILY_TABLE:
         raise GraphError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     row = FAMILY_TABLE[family]

@@ -1,4 +1,4 @@
-"""Planarity decision via the left-right criterion on a DFS orientation.
+"""Planarity decision by path addition on the graph's kernel.
 
 Boolean verdict only; no embedding or Kuratowski witness is produced.  The
 edge count bound e <= 3n-6 short-circuits dense graphs before anything
@@ -15,18 +15,34 @@ one can always be redrawn next to its neighbour.  Smoothing replaces a
 graph by one it is a subdivision of, and subdivision neither creates nor
 destroys a subdivided K5 or K3,3 (Kuratowski).  A path u-v-w beside an
 existing edge u-w can be drawn alongside that edge.  On the kernel the
-Euler bound is applied again (reason "euler-bound" either way).  A kernel with at most 8 edges is planar
-because every nonplanar graph contains a subdivided K3,3 (9 edges) or K5
-(10 edges).  A kernel with at most 5 vertices that passed the Euler bound is
-planar because K5, which the bound rejects, is the only nonplanar graph on
-5 vertices.  Otherwise the left-right test runs on each component of the
-kernel.
-"""
+Euler bound is applied again (reason "euler-bound" either way).  A kernel
+with at most 8 edges is planar because every nonplanar graph contains a
+subdivided K3,3 (9 edges) or K5 (10 edges).  A kernel with at most 5
+vertices that passed the Euler bound is planar because K5, which the bound
+rejects, is the only nonplanar graph on 5 vertices.
 
+Any other kernel is drawn by path addition (Demoucron, Malgrange and
+Pertuiset, 1964).  One cycle is drawn as two faces.  A fragment is an
+undrawn edge between drawn vertices, or a component of undrawn vertices
+together with the edges that attach it to drawn ones.
+
+* A fragment with at most one attachment is a block of its own (another
+  component, or a block hanging at a cut vertex).  A graph is planar iff
+  each of its blocks is, so the fragment is reduced to its kernel and
+  tested recursively.
+* Every other fragment must fit a face that holds all of its attachments,
+  or the graph is nonplanar.  A path between two attachments of a fragment
+  with the fewest such faces is drawn in one of them, splitting that face
+  in two.  When the block is planar, some plane embedding of it extends
+  the drawing after every such step, so a fragment that fits no face is
+  proof of nonplanarity.
+
+The drawing stays 2-connected, so every face is a cycle of vertices.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .graphs import Graph
 
@@ -50,17 +66,20 @@ def is_planar(g: Graph) -> PlanarityVerdict:
     """Decide whether g embeds in the plane."""
     if len(g.edges) > planar_edge_cap(g.n):
         return PlanarityVerdict(False, "euler-bound")
-    adj = _kernel(g)
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return _verdict(_kernel(adj))
+
+
+def _verdict(adj: list[int]) -> PlanarityVerdict:
+    """Verdict on a kernel given as adjacency bitmasks."""
     kn = sum(1 for a in adj if a)
     km = sum(a.bit_count() for a in adj) // 2
     if km > planar_edge_cap(kn):
         return PlanarityVerdict(False, "euler-bound")
-    if km > 8 and kn > 5:
-        nbrs = [tuple(_bits(a)) for a in adj]
-        for comp in _components(adj):
-            if len(comp) >= 5 and not _LRTest(nbrs, comp).run():
-                return PlanarityVerdict(False, "combinatorial-test")
-    return PlanarityVerdict(True, "combinatorial-test")
+    return PlanarityVerdict(km <= 8 or kn <= 5 or _draws(adj), "combinatorial-test")
 
 
 def _bits(x: int) -> Iterator[int]:
@@ -71,17 +90,13 @@ def _bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-def _kernel(g: Graph) -> list[int]:
-    """Adjacency bitmasks of g after deleting every vertex of degree <= 1
-    and smoothing every vertex of degree 2 until none is left; removed
-    vertices have an empty mask."""
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+def _kernel(adj: list[int]) -> list[int]:
+    """Reduce adjacency bitmasks in place, deleting every vertex of degree
+    <= 1 and smoothing every vertex of degree 2 until none is left, and
+    return them; removed vertices have an empty mask."""
     # degrees never grow, so a vertex is reducible from the moment it is
     # pushed; one that was reduced meanwhile has an empty mask
-    todo = [v for v in range(g.n) if adj[v].bit_count() <= 2]
+    todo = [v for v, a in enumerate(adj) if a.bit_count() <= 2]
     while todo:
         v = todo.pop()
         nb = adj[v]
@@ -110,232 +125,124 @@ def _kernel(g: Graph) -> list[int]:
     return adj
 
 
-def _components(adj: list[int]) -> Iterator[list[int]]:
-    """Vertex lists, ascending, of the components with at least one edge."""
-    seen = 0
-    for s, a in enumerate(adj):
-        if not a or seen >> s & 1:
-            continue
-        comp = frontier = 1 << s
+def _cycle(adj: list[int]) -> list[int]:
+    """A cycle of a kernel, found by walking without turning back until a
+    vertex repeats; every kernel vertex has degree 0 or at least 3."""
+    v = next(v for v, a in enumerate(adj) if a)
+    walk, at, back = [v], {v: 0}, 0
+    while True:
+        nb = adj[v] & ~back
+        w = (nb & -nb).bit_length() - 1
+        if w in at:
+            return walk[at[w]:]
+        at[w] = len(walk)
+        walk.append(w)
+        back, v = 1 << v, w
+
+
+def _erase(left: list[int], path: list[int]) -> None:
+    """Remove the edges of a drawn path from the undrawn adjacency."""
+    for v, w in zip(path, path[1:]):
+        left[v] &= ~(1 << w)
+        left[w] &= ~(1 << v)
+
+
+def _fragments(left: list[int], drawn: int) -> Iterator[tuple[int, int]]:
+    """(attachments, undrawn vertices) of each fragment as bitmasks: first
+    every undrawn edge between drawn vertices, then every component of
+    undrawn vertices."""
+    for v in _bits(drawn):
+        for w in _bits(left[v] & drawn & ~((2 << v) - 1)):
+            yield 1 << v | 1 << w, 0
+    rest = sum(1 << v for v, a in enumerate(left) if a) & ~drawn
+    while rest:
+        frag = frontier = rest & -rest
+        att = 0
         while frontier:
             reach = 0
             for v in _bits(frontier):
-                reach |= adj[v]
-            frontier = reach & ~comp
-            comp |= frontier
-        seen |= comp
-        yield list(_bits(comp))
+                reach |= left[v]
+            att |= reach & drawn
+            frontier = reach & rest & ~frag
+            frag |= frontier
+        rest &= ~frag
+        yield att, frag
 
 
-class _Interval:
-    """Consecutive back edges on one side of a conflict pair."""
-
-    __slots__ = ("low", "high")
-
-    def __init__(self, low=None, high=None):
-        self.low = low
-        self.high = high
-
-    def empty(self) -> bool:
-        return self.low is None and self.high is None
-
-
-class _ConflictPair:
-    __slots__ = ("L", "R")
-
-    def __init__(self, L=None, R=None):
-        self.L = L if L is not None else _Interval()
-        self.R = R if R is not None else _Interval()
-
-    def swap(self) -> None:
-        self.L, self.R = self.R, self.L
-
-
-class _NotPlanar(Exception):
-    pass
+def _path(left: list[int], drawn: int, att: int, frag: int) -> list[int]:
+    """A shortest path from the lowest attachment a of a fragment, through
+    its undrawn vertices, to another attachment; one exists because the
+    fragment is connected and has at least two attachments."""
+    a = (att & -att).bit_length() - 1
+    if not frag:
+        return [a, att.bit_length() - 1]
+    prev = {}
+    seen = 1 << a
+    queue = [a]
+    for v in queue:
+        ends = left[v] & drawn & ~seen
+        if v != a and ends:
+            path = [(ends & -ends).bit_length() - 1]
+            while v != a:
+                path.append(v)
+                v = prev[v]
+            return path + [a]
+        for w in _bits(left[v] & frag & ~seen):
+            prev[w] = v
+            queue.append(w)
+            seen |= 1 << w
 
 
-class _LRTest:
-    """Left-right planarity test on one connected component.
-
-    First DFS orients the component and computes lowpoints and nesting
-    order; the second DFS replays it with adjacency sorted by nesting depth
-    while maintaining a stack of conflict pairs of back-edge intervals.
-    """
-
-    def __init__(self, adj: Sequence[Sequence[int]], comp: list[int]):
-        self.adj = adj
-        self.root = min(comp)
-        self.comp = comp
-        self.height: dict[int, int] = {}
-        self.parent_edge: dict[int, tuple[int, int] | None] = {}
-        self.lowpt: dict[tuple[int, int], int] = {}
-        self.lowpt2: dict[tuple[int, int], int] = {}
-        self.nesting: dict[tuple[int, int], int] = {}
-        self.oriented: set[tuple[int, int]] = set()
-        self.ref: dict[tuple[int, int], tuple[int, int] | None] = {}
-        self.lowpt_edge: dict[tuple[int, int], tuple[int, int]] = {}
-        self.stack: list[_ConflictPair] = []
-        self.stack_bottom: dict[tuple[int, int], _ConflictPair | None] = {}
-        self.ordered: dict[int, list[tuple[int, int]]] = {v: [] for v in comp}
-
-    def run(self) -> bool:
-        self.height[self.root] = 0
-        self.parent_edge[self.root] = None
-        self._dfs1(self.root)
-        # one pass over the set, in its iteration order, so that ties keep
-        # the order a per-vertex scan of the set would give them
-        for e in self.oriented:
-            self.ordered[e[0]].append(e)
-        for edges in self.ordered.values():
-            edges.sort(key=self.nesting.__getitem__)
-        try:
-            self._dfs2(self.root)
-        except _NotPlanar:
-            return False
-        return True
-
-    # -- phase 1: orientation ------------------------------------------
-
-    def _dfs1(self, root: int) -> None:
-        stack = [(root, iter(self.adj[root]))]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                e = (v, w)
-                if e in self.oriented or (w, v) in self.oriented:
-                    continue
-                self.oriented.add(e)
-                self.lowpt[e] = self.height[v]
-                self.lowpt2[e] = self.height[v]
-                if w not in self.height:  # tree edge
-                    self.parent_edge[w] = e
-                    self.height[w] = self.height[v] + 1
-                    stack.append((w, iter(self.adj[w])))
-                    advanced = True
+def _draws(adj: list[int]) -> bool:
+    """Path addition on a kernel: True iff it embeds in the plane."""
+    left = adj[:]  # edges not drawn yet
+    on = [0] * len(adj)  # on[v]: bitmask of the faces v lies on
+    cycle = _cycle(adj)
+    faces = [cycle, cycle[:]]
+    drawn = 0
+    for v in cycle:
+        on[v] = 3
+        drawn |= 1 << v
+    _erase(left, cycle + cycle[:1])
+    while True:
+        pick = None
+        for att, frag in _fragments(left, drawn):
+            if att & (att - 1) == 0:  # at most one attachment: its own block
+                piece = att | frag
+                sub = [a & piece if piece >> v & 1 else 0 for v, a in enumerate(left)]
+                if not _verdict(_kernel(sub)):
+                    return False
+                for v in _bits(piece):
+                    left[v] &= ~piece
+                continue
+            fits = -1
+            for v in _bits(att):
+                fits &= on[v]
+            if not fits:
+                return False
+            single = fits & (fits - 1) == 0
+            if pick is None or single:
+                pick = fits, att, frag
+                if single:
                     break
-                self.lowpt[e] = self.height[w]  # back edge
-                self._absorb(v, e)
-            if not advanced:
-                stack.pop()
-                pe = self.parent_edge[v]
-                if pe is not None:
-                    self._absorb(pe[0], pe)
-
-    def _absorb(self, v: int, e: tuple[int, int]) -> None:
-        """Finalize nesting depth of e and fold its lowpoints into the
-        parent edge of v."""
-        self.nesting[e] = 2 * self.lowpt[e]
-        if self.lowpt2[e] < self.height[v]:  # chordal
-            self.nesting[e] += 1
-        pe = self.parent_edge[v]
-        if pe is not None:
-            if self.lowpt[e] < self.lowpt[pe]:
-                self.lowpt2[pe] = min(self.lowpt[pe], self.lowpt2[e])
-                self.lowpt[pe] = self.lowpt[e]
-            elif self.lowpt[e] > self.lowpt[pe]:
-                self.lowpt2[pe] = min(self.lowpt2[pe], self.lowpt[e])
-            else:
-                self.lowpt2[pe] = min(self.lowpt2[pe], self.lowpt2[e])
-
-    # -- phase 2: constraints ------------------------------------------
-
-    def _dfs2(self, v: int) -> None:
-        e = self.parent_edge[v]
-        for idx, ei in enumerate(self.ordered[v]):
-            w = ei[1]
-            self.stack_bottom[ei] = self.stack[-1] if self.stack else None
-            if self.parent_edge.get(w) == ei:  # tree edge
-                self._dfs2(w)
-            else:  # back edge
-                self.lowpt_edge[ei] = ei
-                self.stack.append(_ConflictPair(R=_Interval(ei, ei)))
-            if self.lowpt[ei] < self.height[v]:  # ei has a return edge
-                if idx == 0:
-                    self.lowpt_edge[e] = self.lowpt_edge[ei]
-                else:
-                    self._add_constraints(ei, e)
-        if e is not None:
-            u = e[0]
-            self._trim_back_edges(u)
-            if self.lowpt[e] < self.height[u] and self.stack:
-                hl = self.stack[-1].L.high
-                hr = self.stack[-1].R.high
-                if hl is not None and (hr is None or self.lowpt[hl] > self.lowpt[hr]):
-                    self.ref[e] = hl
-                else:
-                    self.ref[e] = hr
-
-    def _conflicting(self, interval: _Interval, b: tuple[int, int]) -> bool:
-        return not interval.empty() and self.lowpt[interval.high] > self.lowpt[b]
-
-    def _add_constraints(self, ei: tuple[int, int], e: tuple[int, int]) -> None:
-        P = _ConflictPair()
-        # merge return edges of ei into P.R
-        while True:
-            Q = self.stack.pop()
-            if not Q.L.empty():
-                Q.swap()
-            if not Q.L.empty():
-                raise _NotPlanar
-            if self.lowpt[Q.R.low] > self.lowpt[e]:  # merge intervals
-                if P.R.empty():
-                    P.R.high = Q.R.high
-                else:
-                    self.ref[P.R.low] = Q.R.high
-                P.R.low = Q.R.low
-            else:  # align
-                self.ref[Q.R.low] = self.lowpt_edge[e]
-            top = self.stack[-1] if self.stack else None
-            if top is self.stack_bottom[ei]:
-                break
-        # merge conflicting return edges of earlier siblings into P.L
-        while self.stack and (
-            self._conflicting(self.stack[-1].L, ei)
-            or self._conflicting(self.stack[-1].R, ei)
-        ):
-            Q = self.stack.pop()
-            if self._conflicting(Q.R, ei):
-                Q.swap()
-            if self._conflicting(Q.R, ei):
-                raise _NotPlanar
-            # merge interval below lowpt(ei) into P.R
-            if P.R.low is not None:
-                self.ref[P.R.low] = Q.R.high
-            if Q.R.low is not None:
-                P.R.low = Q.R.low
-            if P.L.empty():
-                P.L.high = Q.L.high
-            else:
-                self.ref[P.L.low] = Q.L.high
-            P.L.low = Q.L.low
-        if not (P.L.empty() and P.R.empty()):
-            self.stack.append(P)
-
-    def _lowest(self, P: _ConflictPair) -> int:
-        if P.L.empty():
-            return self.lowpt[P.R.low]
-        if P.R.empty():
-            return self.lowpt[P.L.low]
-        return min(self.lowpt[P.L.low], self.lowpt[P.R.low])
-
-    def _trim_back_edges(self, u: int) -> None:
-        # drop entire conflict pairs returning to u
-        while self.stack and self._lowest(self.stack[-1]) == self.height[u]:
-            self.stack.pop()
-        if self.stack:
-            P = self.stack.pop()
-            # trim left interval
-            while P.L.high is not None and P.L.high[1] == u:
-                P.L.high = self.ref.get(P.L.high)
-            if P.L.high is None and P.L.low is not None:
-                self.ref[P.L.low] = P.R.low
-                P.L.low = None
-            # trim right interval
-            while P.R.high is not None and P.R.high[1] == u:
-                P.R.high = self.ref.get(P.R.high)
-            if P.R.high is None and P.R.low is not None:
-                self.ref[P.R.low] = P.L.low
-                P.R.low = None
-            self.stack.append(P)
+        if pick is None:
+            return True
+        fits, att, frag = pick
+        path = _path(left, drawn, att, frag)
+        _erase(left, path)
+        a, b, inner = path[0], path[-1], path[1:-1]
+        f = (fits & -fits).bit_length() - 1
+        cyc = faces[f]
+        i = cyc.index(a)
+        cyc = cyc[i:] + cyc[:i]
+        j = cyc.index(b)
+        bf, bg = 1 << f, 1 << len(faces)
+        faces[f] = cyc[: j + 1] + inner[::-1]
+        faces.append(cyc[j:] + cyc[:1] + inner)
+        for v in cyc[j + 1:]:
+            on[v] ^= bf | bg
+        on[a] |= bg
+        on[b] |= bg
+        for v in inner:
+            on[v] = bf | bg
+            drawn |= 1 << v

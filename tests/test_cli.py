@@ -380,3 +380,36 @@ def test_validate_boolean_vertex_count_is_usage_error(capsys, tmp_path):
     code, out, err = invoke(capsys, "validate", "-k", "5", "--input", str(path))
     assert code == 2 and out == ""
     assert "invalid vertex count" in err
+
+
+def test_color_rejects_both_graph_sources(capsys):
+    # the file named by --input would otherwise go unread
+    with pytest.raises(SystemExit) as exc:
+        run(["color", "-k", "5", "--graph6", "C~", "--input", "/nonexistent.g6"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with argument" in captured.err
+
+
+@pytest.mark.parametrize(
+    "extra", [["--copies", "3", "--base", "octahedron"], ["--copies", "3"], ["--base", "g5"]]
+)
+def test_construct_rejects_copies_and_base_outside_disjoint_copies(capsys, extra):
+    code, out, err = invoke(capsys, "construct", "gn", "-n", "8", *extra)
+    assert code == 2 and out == ""
+    assert "disjoint-copies only" in err
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+@pytest.mark.parametrize(
+    "argv",
+    [["extremal", "-n", "9", "-k", "5", "--expect", "13"], ["refute", "-n", "9", "-m", "14", "-k", "5"]],
+    ids=["extremal", "refute"],
+)
+def test_graph6_candidate_file_without_graphs_is_usage_error(capsys, tmp_path, text, argv):
+    # a level with no candidates would otherwise be refuted vacuously
+    path = tmp_path / "empty.g6"
+    path.write_text(text)
+    code, out, err = invoke(capsys, *argv, "--from-graph6", str(path))
+    assert code == 2 and out == ""
+    assert "holds no graph6 line" in err

@@ -9,10 +9,12 @@ import pytest
 
 from rbturan.codec import (
     CodecError,
+    colored_to_doc,
     decode_colored,
     decode_graph6,
     encode_colored,
     encode_graph6,
+    read_graph6_file,
 )
 from rbturan.generation import LevelLadder
 from rbturan.graphs import build_colored_graph, build_graph
@@ -72,6 +74,14 @@ def test_sparse6_rejected_distinctly():
 def test_out_of_range_character():
     with pytest.raises(CodecError, match="range"):
         decode_graph6("C!!")
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_graph6_file_without_graphs_is_rejected(tmp_path, text):
+    path = tmp_path / "empty.g6"
+    path.write_text(text)
+    with pytest.raises(CodecError, match="holds no graph6 line"):
+        read_graph6_file(str(path))
 
 
 def test_truncated_body():
@@ -184,3 +194,11 @@ def test_colored_rejects_booleans(doc):
 def test_encode_colored_is_deterministic():
     cg = build_colored_graph(5, G5_TRIPLES)
     assert encode_colored(cg) == encode_colored(cg)
+
+
+def test_colored_doc_is_the_parsed_encoding():
+    cg = build_colored_graph(5, G5_TRIPLES)
+    for meta in (None, {"note": "fixture", "stats": {"nodes": 3}}):
+        doc = colored_to_doc(cg, meta=meta)
+        assert doc == json.loads(encode_colored(cg, meta=meta))
+        assert ("meta" in doc) == (meta is not None)

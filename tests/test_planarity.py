@@ -8,7 +8,7 @@ import networkx as nx
 from rbturan.constructions import double_wheel, gn, icosahedron
 from rbturan.generation import LevelLadder
 from rbturan.graphs import Graph, build_graph
-from rbturan.planarity import _kernel, is_planar
+from rbturan.planarity import PlanarityVerdict, _kernel, is_planar
 
 # ---------------------------------------------------------------------------
 # Independent oracle: non-planar iff a K5 or K3,3 minor exists (checked by
@@ -157,7 +157,11 @@ def test_agrees_with_networkx_on_every_class_on_7_vertices():
 
 
 def _kernel_size(g: Graph) -> tuple[int, int]:
-    adj = _kernel(g)
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    _kernel(adj)
     return sum(1 for a in adj if a), sum(a.bit_count() for a in adj) // 2
 
 
@@ -225,3 +229,75 @@ def test_cycles_with_chords_stay_planar():
         assert _networkx_planar(g)
     crossed = build_graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4)])
     assert is_planar(crossed).planar and _networkx_planar(crossed)
+
+
+K4_EDGES = list(itertools.combinations(range(4), 2))
+
+
+def _glued(first: list[tuple[int, int]], n: int, second: list[tuple[int, int]]):
+    """Edges and vertex count of first (on 0..n-1) and second sharing their
+    vertex 0; second's other vertices follow first's."""
+    def mp(v: int) -> int:
+        return 0 if v == 0 else v + n - 1
+
+    edges = first + [(mp(u), mp(v)) for u, v in second]
+    return edges, 1 + max(max(e) for e in edges)
+
+
+def _shuffled(edges: list[tuple[int, int]], n: int, seed: int) -> Graph:
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_nonplanar_block_at_a_cut_vertex_is_found():
+    # the kernel is both blocks; which block the drawing starts in depends
+    # on the labels, so the other block is the one tested recursively in
+    # some of the shuffles
+    for block, size in ((K5_EDGES, 5), (K33_EDGES, 6)):
+        for edges, n in (_glued(block, size, K4_EDGES), _glued(K4_EDGES, 4, block)):
+            assert len(edges) <= 3 * n - 6 and _kernel_size(build_graph(n, edges)) == (n, len(edges))
+            for seed in range(24):
+                for g in (_shuffled(edges, n, seed), _dress(edges, n, seed)):
+                    assert is_planar(g) == PlanarityVerdict(False, "combinatorial-test"), seed
+                    assert not _networkx_planar(g)
+
+
+def test_planar_blocks_at_a_cut_vertex_stay_planar():
+    ico = list(icosahedron().graph.edges)
+    edges, n = _glued(ico, 12, ico)
+    assert n == 23 and len(edges) == 60
+    for seed in range(12):
+        for g in (_shuffled(edges, n, seed), _dress(edges, n, seed)):
+            assert is_planar(g).planar and _networkx_planar(g), seed
+
+
+def _stacked_triangulation(n: int, rng: random.Random) -> set[tuple[int, int]]:
+    """A random maximal planar graph: each new vertex goes into a random
+    triangular face and is joined to its three corners."""
+    edges = {(0, 1), (0, 2), (1, 2)}
+    faces = [(0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges |= {(a, v), (b, v), (c, v)}
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    return edges
+
+
+def test_near_triangulations_agree_with_networkx():
+    # stacked triangulations up to n=62, with some edges removed and a few
+    # random chords added, shuffled
+    rng = random.Random(62)
+    verdicts = []
+    for i in range(80):
+        n = 62 if i % 8 == 0 else rng.randint(6, 62)
+        edges = _stacked_triangulation(n, rng)
+        for e in rng.sample(sorted(edges), rng.randint(0, 8)):
+            edges.discard(e)
+        for _ in range(rng.randint(0, 3)):
+            u, v = rng.sample(range(n), 2)
+            edges.add((min(u, v), max(u, v)))
+        g = _shuffled(sorted(edges), n, i)
+        verdicts.append(bool(is_planar(g)))
+        assert verdicts[-1] == _networkx_planar(g), (n, g.edges)
+    assert 10 < sum(verdicts) < 70
