@@ -268,7 +268,7 @@ def _cmd_refute(args) -> int:
     _emit(
         doc,
         f"level ({args.n},{args.m}) k={args.k}: {rep.status} "
-        f"({rep.unsat} UNSAT of {rep.after_planarity}) in {secs:.1f}s",
+        f"({rep.counts['unsat']} UNSAT of {rep.counts['planar']}) in {secs:.1f}s",
     )
     if rep.status == "PASS":
         return EXIT_OK

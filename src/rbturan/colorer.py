@@ -229,11 +229,11 @@ def find_coloring(
     return SearchOutcome(SAT, cert, searcher.nodes, cert.colors_used())
 
 
-def iter_coloring_classes(g: Graph, k: int, max_colors: int | None = None) -> list[ColoredGraph]:
-    """All color-renaming classes of proper rainbow-P_k-free colorings,
-    each as its canonical (first-occurrence over canonical edge order)
-    representative, sorted for determinism."""
-    searcher = _Searcher(g, k, max_colors)
+def iter_coloring_classes(g: Graph, k: int) -> list[ColoredGraph]:
+    """All color-renaming classes of proper rainbow-P_k-free colorings
+    with any number of colors, each as its canonical (first-occurrence
+    over canonical edge order) representative, sorted for determinism."""
+    searcher = _Searcher(g, k, None)
     reps = [searcher.positions_to_colored(sol) for sol in searcher.solutions()]
     reps.sort(key=lambda cg: cg.colors)
     return reps

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Any
@@ -41,23 +42,13 @@ def is_reduced(g: Graph) -> bool:
     return not any(deg[u] == 2 and deg[v] == 2 for u, v in g.edges)
 
 
-@dataclass(frozen=True)
-class CandidateStream:
-    """A complete, isomorph-free list of n-vertex m-edge graphs surviving
-    the requested filters."""
-
-    source: str
-    n: int
-    m: int
-    raw_count: int
-    reduced_count: int
-    planar_count: int
-    graphs: tuple[Graph, ...]
-    filters: tuple[str, ...]
-
-
 # one ladder per vertex count, kept for the life of the process
 _ladder = functools.cache(LevelLadder)
+
+
+def _candidate_source(graph6_path: str | None) -> str:
+    """Provenance of a level's candidates: built-in generation or a file."""
+    return "built-in" if graph6_path is None else f"graph6:{graph6_path}"
 
 
 def enumerate_candidates(
@@ -66,14 +57,17 @@ def enumerate_candidates(
     reduced: bool = False,
     planar: bool = False,
     graph6_path: str | None = None,
-) -> CandidateStream:
-    """Stream of pairwise non-isomorphic (n, m) graphs, filtered.
+) -> tuple[tuple[Graph, ...], dict[str, int]]:
+    """Pairwise non-isomorphic (n, m) graphs surviving the requested
+    filters, and the count after each stage, keyed as in a level report:
+    ``candidates`` (all classes), ``reduced`` and ``planar``.  A filter
+    that is off leaves the count unchanged.
 
     Filters run in cost order: the degree-based reduction filter first,
     then the Euler bound inside the full planarity test.  Built-in
     generation covers n <= 8; larger n must come from a graph6 file,
     which is trusted to be complete and isomorph-free (recorded in the
-    stream's source).
+    report's source).
     """
     if graph6_path is not None:
         graphs = read_graph6_file(graph6_path)
@@ -83,7 +77,6 @@ def enumerate_candidates(
                     f"graph6 candidate with n={g.n}, m={len(g.edges)}; "
                     f"expected ({n},{m})"
                 )
-        source = f"graph6:{graph6_path}"
     else:
         if n > BUILTIN_MAX_N:
             raise GraphError(
@@ -91,26 +84,14 @@ def enumerate_candidates(
                 f"supply --from-graph6 for n={n}"
             )
         graphs = list(_ladder(n).level(m))
-        source = "built-in"
-    raw = len(graphs)
+    counts = {"candidates": len(graphs)}
     if reduced:
         graphs = [g for g in graphs if is_reduced(g)]
-    n_reduced = len(graphs)
+    counts["reduced"] = len(graphs)
     if planar:
         graphs = [g for g in graphs if is_planar(g)]
-    filters = tuple(
-        name for name, on in (("reduced", reduced), ("planar", planar)) if on
-    )
-    return CandidateStream(
-        source=source,
-        n=n,
-        m=m,
-        raw_count=raw,
-        reduced_count=n_reduced,
-        planar_count=len(graphs),
-        graphs=tuple(graphs),
-        filters=filters,
-    )
+    counts["planar"] = len(graphs)
+    return tuple(graphs), counts
 
 
 @dataclass(frozen=True)
@@ -123,60 +104,48 @@ class LevelReport:
     k: int
     filters: tuple[str, ...]
     source: str
-    candidates: int  # raw isomorphism classes at (n, m)
-    after_reduction: int
-    after_planarity: int
-    unsat: int
-    sat: int
-    budget_exceeded: int
+    # candidates, reduced, planar (see enumerate_candidates), then the
+    # search outcomes unsat, sat and budget_exceeded
+    counts: dict[str, int]
     nodes: int
     status: str  # PASS | FAIL | BUDGET
     digest: str
-    first_sat_index: int | None
-    first_sat_certificate: ColoredGraph | None
+    first_sat: tuple[int, ColoredGraph] | None  # candidate index, certificate
 
     @property
     def passed(self) -> bool:
         return self.status == "PASS"
 
     def to_doc(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
+        return {
             "n": self.n,
             "m": self.m,
             "k": self.k,
             "filters": list(self.filters),
             "source": self.source,
-            "counts": {
-                "candidates": self.candidates,
-                "reduced": self.after_reduction,
-                "planar": self.after_planarity,
-                "unsat": self.unsat,
-                "sat": self.sat,
-                "budget_exceeded": self.budget_exceeded,
-            },
+            "counts": dict(self.counts),
             "nodes": self.nodes,
             "status": self.status,
             "digest": self.digest,
         }
-        return doc
 
 
-def _solve_chunk(payload: tuple) -> list[tuple[int, str, int, tuple[int, ...] | None]]:
+def _solve_chunk(payload: tuple) -> list[tuple[str, int, tuple[int, ...] | None]]:
     """Worker: run the coloring search on one chunk of candidates.
 
-    Returns (index, status, nodes, certificate colors) per graph; the
-    certificate is kept only for the chunk's first SAT candidate.
+    Returns (status, nodes, certificate colors) per graph, in chunk order;
+    the certificate is kept only for the chunk's first SAT candidate.
     """
-    graphs, start, k, node_budget = payload
+    graphs, k, node_budget = payload
     out = []
     have_sat = False
-    for off, g in enumerate(graphs):
+    for g in graphs:
         outcome = find_coloring(g, k, node_budget=node_budget)
         cert = None
         if outcome.sat and not have_sat:
             cert = outcome.certificate.colors
             have_sat = True
-        out.append((start + off, outcome.status, outcome.nodes, cert))
+        out.append((outcome.status, outcome.nodes, cert))
     return out
 
 
@@ -199,50 +168,32 @@ def run_level(
         raise GraphError(f"need m >= 0, got m={m}")
     if k < 3:
         raise GraphError(f"need k >= 3, got k={k}")
-    stream = enumerate_candidates(
+    graphs, counts = enumerate_candidates(
         n, m, reduced=reduced, planar=planar, graph6_path=graph6_path
     )
-    results: list[tuple[int, str, int, tuple[int, ...] | None]] = []
-    graphs = stream.graphs
     if jobs <= 1 or len(graphs) <= 1:
-        results = _solve_chunk((graphs, 0, k, node_budget))
+        results = _solve_chunk((graphs, k, node_budget))
     else:
-        jobs = min(jobs, len(graphs))
-        size = (len(graphs) + jobs - 1) // jobs
-        payloads = []
-        for w in range(jobs):
-            chunk = graphs[w * size : (w + 1) * size]
-            if chunk:
-                payloads.append((chunk, w * size, k, node_budget))
+        size = -(-len(graphs) // min(jobs, len(graphs)))
+        payloads = [(graphs[i : i + size], k, node_budget) for i in range(0, len(graphs), size)]
         try:
             ctx = get_context("fork")
         except ValueError:  # platforms without fork; Graph payloads pickle fine
             ctx = get_context("spawn")
         with ctx.Pool(processes=len(payloads)) as pool:
-            for part in pool.map(_solve_chunk, payloads):
-                results.extend(part)
-    results.sort(key=lambda r: r[0])
-    unsat = sum(1 for r in results if r[1] == UNSAT)
-    sat = sum(1 for r in results if r[1] == SAT)
-    budget = sum(1 for r in results if r[1] == BUDGET_EXCEEDED)
-    nodes = sum(r[2] for r in results)
-    digest = hashlib.sha256(
-        "\n".join(
-            f"{idx}:{encode_graph6(graphs[idx])}:{status}"
-            for idx, status, _, _ in results
-        ).encode()
-    ).hexdigest()
-    first_sat_index = None
-    first_cert = None
-    for idx, status, _, cert in results:
-        if status == SAT:
-            first_sat_index = idx
-            if cert is not None:
-                first_cert = ColoredGraph(graphs[idx], cert)
-            break
-    if sat:
+            # map returns the parts in chunk order, so results follow graphs
+            results = [r for part in pool.map(_solve_chunk, payloads) for r in part]
+    tally = Counter(status for status, _, _ in results)
+    counts.update(unsat=tally[UNSAT], sat=tally[SAT], budget_exceeded=tally[BUDGET_EXCEEDED])
+    lines, first_sat = [], None
+    for i, (g, (status, _, cert)) in enumerate(zip(graphs, results)):
+        lines.append(f"{i}:{encode_graph6(g)}:{status}")
+        if status == SAT and first_sat is None:  # first in its chunk: cert kept
+            first_sat = (i, ColoredGraph(g, cert))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    if tally[SAT]:
         status = "FAIL"
-    elif budget:
+    elif tally[BUDGET_EXCEEDED]:
         status = "BUDGET"
     else:
         status = "PASS"
@@ -250,19 +201,13 @@ def run_level(
         n=n,
         m=m,
         k=k,
-        filters=stream.filters,
-        source=stream.source,
-        candidates=stream.raw_count,
-        after_reduction=stream.reduced_count,
-        after_planarity=stream.planar_count,
-        unsat=unsat,
-        sat=sat,
-        budget_exceeded=budget,
-        nodes=nodes,
+        filters=tuple(name for name, on in (("reduced", reduced), ("planar", planar)) if on),
+        source=_candidate_source(graph6_path),
+        counts=counts,
+        nodes=sum(nodes for _, nodes, _ in results),
         status=status,
         digest=digest,
-        first_sat_index=first_sat_index,
-        first_sat_certificate=first_cert,
+        first_sat=first_sat,
     )
 
 
@@ -345,7 +290,6 @@ def compute_extremal(
     if k < 3:
         raise GraphError(f"need k >= 3, got k={k}")
     cap = planar_edge_cap(n)
-    source = "built-in" if graph6_path is None else f"graph6:{graph6_path}"
 
     def run(plan):
         """Each (n', m', reduced) level of the plan, run in order on
@@ -382,16 +326,17 @@ def compute_extremal(
                     f"level ({n},{level.m}) exhausted the search budget; "
                     "rerun with a larger --budget-nodes"
                 )
-            if level.first_sat_index is not None:
+            if level.first_sat is not None:
+                index, achiever = level.first_sat
                 return ExtremalReport(
                     n=n,
                     k=k,
                     value=level.m,
-                    achiever=level.first_sat_certificate,
-                    achiever_provenance=f"search:index-{level.first_sat_index}",
+                    achiever=achiever,
+                    achiever_provenance=f"search:index-{index}",
                     refutation=previous,
                     chain=(),
-                    source=source,
+                    source=_candidate_source(graph6_path),
                     status="OK",
                 )
             previous = level
@@ -414,9 +359,14 @@ def compute_extremal(
         )
     # the graph6 file feeds the top level only; every other level is built-in
     beyond = [n2 for n2, _, _ in plan if n2 > BUILTIN_MAX_N and (n2 < n or graph6_path is None)]
+    if beyond == [n]:  # only the top level, which a file can feed
+        raise GraphError(
+            f"refuting the value {value} at n={n}, k={k} needs the level "
+            f"({n},{plan[-1][1]}), beyond the built-in cap n <= {BUILTIN_MAX_N}; "
+            f"supply it with --from-graph6"
+        )
     if beyond:
-        first = BUILTIN_MAX_N + 1
-        span = f"{first}..{beyond[-1]}" if beyond[-1] > first else f"{first}"
+        span = f"{beyond[0]}..{beyond[-1]}" if len(beyond) > 1 else f"{beyond[0]}"
         raise GraphError(
             f"refuting the value {value} at n={n}, k={k} needs built-in generation "
             f"for n'={span}, beyond the cap n <= {BUILTIN_MAX_N}; "
@@ -435,6 +385,6 @@ def compute_extremal(
         achiever_provenance=f"construction:{label}",
         refutation=levels[-1] if levels else None,
         chain=levels if plan and plan[0][2] else (),  # a reduced plan is the chain
-        source=source,
+        source=_candidate_source(graph6_path),
         status=status,
     )

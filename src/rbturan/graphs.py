@@ -106,24 +106,16 @@ class ColoredGraph:
         return len(set(self.colors))
 
 
-def color_graph(g: Graph, coloring: Mapping[tuple[int, int], int] | Sequence[int]) -> ColoredGraph:
-    """Attach a total coloring to g, given as an edge->color mapping or as a
-    color sequence parallel to g.edges."""
-    if isinstance(coloring, Mapping):
-        normalized = {canonical_edge(u, v): c for (u, v), c in coloring.items()}
-        missing = [e for e in g.edges if e not in normalized]
-        if missing:
-            raise GraphError(f"edges without a color: {missing[:3]}")
-        extra = [e for e in normalized if e not in g.edge_set]
-        if extra:
-            raise GraphError(f"colored non-edges: {extra[:3]}")
-        colors = tuple(normalized[e] for e in g.edges)
-    else:
-        colors = tuple(coloring)
-        if len(colors) != len(g.edges):
-            raise GraphError(
-                f"{len(colors)} colors for {len(g.edges)} edges"
-            )
+def color_graph(g: Graph, coloring: Mapping[tuple[int, int], int]) -> ColoredGraph:
+    """Attach a total coloring to g, given as an edge->color mapping."""
+    normalized = {canonical_edge(u, v): c for (u, v), c in coloring.items()}
+    missing = [e for e in g.edges if e not in normalized]
+    if missing:
+        raise GraphError(f"edges without a color: {missing[:3]}")
+    extra = [e for e in normalized if e not in g.edge_set]
+    if extra:
+        raise GraphError(f"colored non-edges: {extra[:3]}")
+    colors = tuple(normalized[e] for e in g.edges)
     for c in colors:
         if not isinstance(c, int) or c <= 0:
             raise GraphError(f"color ids must be positive integers, got {c!r}")

@@ -8,6 +8,7 @@ from rbturan import __version__
 from rbturan.cli import run
 from rbturan.codec import encode_colored, encode_graph6
 from rbturan.constructions import g5, gn
+from rbturan.generation import LevelLadder
 from rbturan.graphs import build_graph
 
 
@@ -269,6 +270,23 @@ def test_chain_beyond_builtin_cap_names_its_levels(capsys, tmp_path):
     code, out, err = invoke(capsys, "extremal", "-n", "9", "-k", "4")
     assert code == 2 and out == ""
     assert "level descent is built-in only" in err
+
+
+def test_single_level_beyond_builtin_cap_asks_for_that_level(capsys, tmp_path):
+    # k=3: the matching gives n//2, so the plan is the one level (n, n//2 + 1)
+    code, out, err = invoke(capsys, "extremal", "-n", "40", "-k", "3")
+    assert code == 2 and out == ""
+    assert "level (40,21)" in err and "--from-graph6" in err
+    assert "n'=9" not in err and "top level" not in err
+    code, out, err = invoke(capsys, "extremal", "-n", "9", "-k", "3")
+    assert code == 2 and out == ""
+    assert "level (9,5)" in err and "top level" not in err
+    # and following the hint works
+    path = tmp_path / "level_9_5.g6"
+    path.write_text("".join(encode_graph6(g) + "\n" for g in LevelLadder(9).level(5)))
+    code, out, _ = invoke(capsys, "extremal", "-n", "9", "-k", "3", "--from-graph6", str(path))
+    assert code == 0
+    assert parse(out)["refutation"]["status"] == "PASS"
 
 
 def test_refute_budget_exits_3(capsys):

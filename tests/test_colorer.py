@@ -155,7 +155,8 @@ def test_decision_agrees_with_full_enumeration_on_refutation_instances():
     # enumerator must agree on every planar (6,10) candidate
     from rbturan.extremal import enumerate_candidates
 
-    for g in enumerate_candidates(6, 10, planar=True).graphs:
+    graphs, _ = enumerate_candidates(6, 10, planar=True)
+    for g in graphs:
         assert find_coloring(g, 5).status == UNSAT
         assert iter_coloring_classes(g, 5) == []
 

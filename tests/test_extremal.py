@@ -37,14 +37,14 @@ def test_planar_edge_cap():
 
 
 def test_enumerate_unique_k4():
-    stream = enumerate_candidates(4, 6)
-    assert stream.raw_count == 1
-    assert stream.graphs[0].edges == tuple(itertools.combinations(range(4), 2))
+    graphs, counts = enumerate_candidates(4, 6)
+    assert counts["candidates"] == 1
+    assert graphs[0].edges == tuple(itertools.combinations(range(4), 2))
 
 
 def test_enumerate_empty_when_overfull():
-    stream = enumerate_candidates(4, 7)
-    assert stream.raw_count == 0 and not stream.graphs
+    graphs, counts = enumerate_candidates(4, 7)
+    assert counts["candidates"] == 0 and not graphs
 
 
 def test_enumerate_cap_without_file():
@@ -77,16 +77,16 @@ def naive_level_5_8():
 
 
 def test_level_5_8_golden_count():
-    stream = enumerate_candidates(5, 8, reduced=True, planar=True)
-    assert stream.planar_count == naive_level_5_8() == 2
+    _, counts = enumerate_candidates(5, 8, reduced=True, planar=True)
+    assert counts["planar"] == naive_level_5_8() == 2
 
 
 def test_refute_levels_just_above_the_p5_bound():
     assert run_level(4, 7, 5, reduced=True).status == "PASS"  # vacuous
     lv = run_level(5, 8, 5, reduced=True)
-    assert lv.status == "PASS" and lv.unsat == 2
+    assert lv.status == "PASS" and lv.counts["unsat"] == 2
     lv = run_level(6, 10, 5, reduced=True)
-    assert lv.status == "PASS" and lv.unsat == lv.after_planarity == 11
+    assert lv.status == "PASS" and lv.counts["unsat"] == lv.counts["planar"] == 11
 
 
 def test_reduction_filter_agrees_with_unfiltered_refutation():
@@ -96,7 +96,7 @@ def test_reduction_filter_agrees_with_unfiltered_refutation():
         with_filters = run_level(n, m, 5, reduced=True)
         without = run_level(n, m, 5, reduced=False)
         assert with_filters.status == without.status == "PASS"
-        assert without.after_planarity >= with_filters.after_planarity
+        assert without.counts["planar"] >= with_filters.counts["planar"]
 
 
 def test_downward_edge_monotonicity():
@@ -104,7 +104,7 @@ def test_downward_edge_monotonicity():
     sat_by_m = {}
     for m in range(planar_edge_cap(6), 1, -1):
         lv = run_level(6, m, 5, reduced=False, planar=True)
-        sat_by_m[m] = lv.sat > 0
+        sat_by_m[m] = lv.counts["sat"] > 0
     for m in range(planar_edge_cap(6), 2, -1):
         if sat_by_m[m]:
             assert sat_by_m[m - 1]
@@ -182,15 +182,27 @@ def test_compute_extremal_search_fallback():
 
 
 def test_jobs_do_not_change_the_report():
-    a = compute_extremal(6, 5, jobs=1).to_doc()
-    b = compute_extremal(6, 5, jobs=4).to_doc()
-    assert a == b
+    # (6, 5) refutes its chain; (7, 4) has no construction, so its achiever
+    # is the first SAT candidate of level descent
+    for n, k, jobs in ((6, 5, 4), (7, 4, 2)):
+        assert compute_extremal(n, k, jobs=jobs).to_doc() == compute_extremal(n, k, jobs=1).to_doc()
+
+
+@pytest.mark.parametrize("n,m,k", [(6, 9, 5), (6, 8, 5), (7, 13, 6)])
+def test_pool_keeps_candidate_order_on_levels_with_sat(n, m, k):
+    # each level mixes SAT and UNSAT candidates, so the digest and the
+    # first SAT index see a pool that returns chunks out of order
+    # (at (6,9) the first SAT is candidate 16 of 20, in a later chunk)
+    alone = run_level(n, m, k, reduced=False, jobs=1)
+    assert alone.counts["sat"] and alone.counts["unsat"]
+    for jobs in (2, 3):
+        assert run_level(n, m, k, reduced=False, jobs=jobs) == alone
 
 
 def test_budget_poisons_level():
     lv = run_level(6, 10, 5, reduced=True, planar=True, node_budget=3)
     assert lv.status == "BUDGET"
-    assert lv.budget_exceeded > 0
+    assert lv.counts["budget_exceeded"] > 0
 
 
 def test_budget_propagates_to_extremal_status():

@@ -33,6 +33,7 @@ LEVEL = "level_6_10.g6"
 COMMANDS: dict[str, list[str]] = {
     "extremal-5-5-expect": ["extremal", "-n", "5", "-k", "5", "--expect", "7"],
     "extremal-6-4-descent": ["extremal", "-n", "6", "-k", "4"],
+    "extremal-6-4-descent-jobs-2": ["extremal", "-n", "6", "-k", "4", "--jobs", "2"],
     "extremal-6-3-matching": ["extremal", "-n", "6", "-k", "3"],
     "extremal-4-4-k4-blocks": ["extremal", "-n", "4", "-k", "4"],
     "extremal-6-6-octahedron": ["extremal", "-n", "6", "-k", "6"],
@@ -89,6 +90,7 @@ GOLDEN: dict[str, tuple[int, str]] = {
     "extremal-5-5-expect": (0, "8cc209f7f04212ae41aa49189ad39c069afd4faff87158a10a49da069dad9f37"),
     "extremal-6-3-matching": (0, "99d3ade027ee223d568f3eacf479bb304649c60d24e415166a2ef2e6ec8f67c5"),
     "extremal-6-4-descent": (0, "778cf1ff37d1b5796ac411dc1046498901ab6883e4f3037d0b0dbbbd4ba9987b"),
+    "extremal-6-4-descent-jobs-2": (0, "dc6772aa04e0c1e9692c1f89f958f43c6bbc7bf966f3fea45dedb2b34729815d"),
     "extremal-6-5-from-graph6": (0, "a557f7f3aad390cd33f072577c9917f3616bb5f5430cbf4aee74e7008388913a"),
     "extremal-6-5-jobs-2": (0, "bcd1aeee9bd3ece5da360dc03a1ae2c6e8a8ecc74e4ff6d4db4991eae413d59c"),
     "extremal-6-6-octahedron": (0, "a53f83d0b075c0042f82c175ab05a2c186b6b7ed90b1a2caea718c10e45b1979"),
