@@ -196,6 +196,11 @@ class _Searcher:
                             max_used[j] = max_used[j - 1] if c <= max_used[j - 1] else c
                             advanced = True
                             break
+                        if paths[0] is not path:
+                            # the witness moves to the front of the bucket,
+                            # so the next color tried here meets it first
+                            i = paths.index(path)
+                            paths[0], paths[i] = path, paths[0]
                     c += 1
                 if advanced:
                     continue

@@ -48,7 +48,11 @@ class Graph:
         return len(self.adj[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adj)
+        deg = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(deg)
 
     def has_edge(self, u: int, v: int) -> bool:
         return canonical_edge(u, v) in self.edge_set

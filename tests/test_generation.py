@@ -5,14 +5,18 @@ import random
 
 import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from rbturan.generation import (
     LevelLadder,
+    _canonical_code,
     _graph_of_code,
+    _masks,
     canonical_form,
     relabel,
 )
-from rbturan.graphs import GraphError, build_graph
+from rbturan.graphs import Graph, GraphError, build_graph
+from rbturan.planarity import is_planar
 
 from helpers import component_certificate
 
@@ -181,3 +185,87 @@ def test_k4_level_unique():
     assert [g.edges for g in LevelLadder(4).level(6)] == [
         tuple(itertools.combinations(range(4), 2))
     ]
+
+
+def test_complements_of_every_n8_level_are_the_mirrored_level():
+    """Complementation maps the classes with m edges one-to-one onto the
+    classes with 28 - m edges, so every level of the full n=8 ladder must
+    be the complement of its mirror level, class for class."""
+    ladder = LevelLadder(8)
+    pairs = list(itertools.combinations(range(8), 2))
+    total = 0
+    for m in range(29):
+        mirrored = sorted(
+            canonical_form(Graph(8, tuple(p for p in pairs if p not in g.edge_set)))
+            for g in ladder.level(m)
+        )
+        assert mirrored == [canonical_form(g) for g in ladder.level(28 - m)], m
+        total += len(mirrored)
+    assert total == 12346
+
+
+def _pair_orbits(n: int, perms) -> set[frozenset[tuple[int, int]]]:
+    """Orbits of the vertex pairs under the group the vertex maps `perms`
+    generate, closed by repeated application."""
+    orbits = set()
+    done: set[tuple[int, int]] = set()
+    for pair in itertools.combinations(range(n), 2):
+        if pair in done:
+            continue
+        orbit = {pair}
+        todo = [pair]
+        while todo:
+            x, y = todo.pop()
+            for p in perms:
+                image = tuple(sorted((p[x], p[y])))
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        done |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def test_automorphism_generators_give_the_orbits_networkx_enumerates():
+    """For every class with n <= 6, the vertex-pair orbits under the
+    generators the canonical search returns must equal the orbits under
+    every automorphism networkx's matcher enumerates; and the ladder must
+    extend each class by exactly one non-edge per non-edge orbit."""
+    for n in range(1, 7):
+        ladder = LevelLadder(n)
+        for m in range(n * (n - 1) // 2 + 1):
+            for g in ladder.level(m):
+                G = nx.Graph()
+                G.add_nodes_from(range(n))
+                G.add_edges_from(g.edges)
+                auts = [
+                    [iso[v] for v in range(n)]
+                    for iso in GraphMatcher(G, G).isomorphisms_iter()
+                ]
+                want = _pair_orbits(n, auts)
+                _, _, gens = _canonical_code(_masks(g), [(1 << n) - 1])
+                assert _pair_orbits(n, gens) == want, (n, g.edges)
+                reps = ladder._reps[g]
+                picked = {divmod(i, n) for i in range(n * n) if reps >> i & 1}
+                non_edge_orbits = [o for o in want if not o & g.edge_set]
+                assert len(picked) == len(non_edge_orbits), (n, g.edges)
+                assert all(len(o & picked) == 1 for o in non_edge_orbits), (n, g.edges)
+
+
+class _PlanarLadder(LevelLadder):
+    """Keeps the planar classes of each level, by filtering the frontier
+    after the parent class has grown it."""
+
+    def _grow(self) -> None:
+        super()._grow()
+        self._levels[-1] = [g for g in self._levels[-1] if is_planar(g)]
+
+
+def test_filtering_the_frontier_after_each_level_gives_the_filtered_ladder():
+    """A subclass may filter the level `_grow` just appended, as
+    bench/make_refute9_input.py does with planarity: the pruned ladder
+    must equal the full one filtered afterwards, classes and order."""
+    for n in range(1, 7):
+        full, pruned = LevelLadder(n), _PlanarLadder(n)
+        for m in range(n * (n - 1) // 2 + 1):
+            assert pruned.level(m) == [g for g in full.level(m) if is_planar(g)], (n, m)

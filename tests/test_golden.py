@@ -41,6 +41,7 @@ COMMANDS: dict[str, list[str]] = {
     "extremal-10-8-double-wheel": ["extremal", "-n", "10", "-k", "8"],
     "extremal-9-8-k2-path": ["extremal", "-n", "9", "-k", "8"],
     "extremal-7-5-chain": ["extremal", "-n", "7", "-k", "5"],
+    "extremal-8-5-jobs-2": ["extremal", "-n", "8", "-k", "5", "--jobs", "2"],
     "extremal-6-5-jobs-2": ["extremal", "-n", "6", "-k", "5", "--jobs", "2"],
     "extremal-6-5-from-graph6": [
         "extremal", "-n", "6", "-k", "5", "--from-graph6", LEVEL,
@@ -95,6 +96,7 @@ GOLDEN: dict[str, tuple[int, str]] = {
     "extremal-6-5-jobs-2": (0, "bcd1aeee9bd3ece5da360dc03a1ae2c6e8a8ecc74e4ff6d4db4991eae413d59c"),
     "extremal-6-6-octahedron": (0, "a53f83d0b075c0042f82c175ab05a2c186b6b7ed90b1a2caea718c10e45b1979"),
     "extremal-7-5-chain": (0, "2b16139446c81daa0b4bf4f455b0e4700250e01d19f3dce418c7a0ec3cd2aca6"),
+    "extremal-8-5-jobs-2": (0, "38f26fc1d274f4be84346d87951931676f59ea9f0e95268f4f385748d241024d"),
     "extremal-9-8-k2-path": (0, "9910dc84d9946d4bc4dd94451b6dcd5c0d2e23d53fbb031cfeccda6424efa843"),
     "lemma-all": (0, "47dc47e682821b8a26394badc7736b537d1154b67723c283a8873522a8383ea2"),
     "refute-5-8-5-unfiltered": (0, "05fc893bb2718ef762a84de7a66221e68a6e3db993abb8a73426da0acca769ae"),
