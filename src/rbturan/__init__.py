@@ -9,7 +9,6 @@ from .graphs import (
     GraphError,
     build_colored_graph,
     build_graph,
-    color_graph,
     disjoint_union,
     is_proper,
     normalize_colors,
@@ -23,7 +22,7 @@ from .codec import (
     encode_graph6,
 )
 from .planarity import PlanarityVerdict, is_planar
-from .rainbow import RainbowWitness, find_rainbow_path, find_rainbow_path_through
+from .rainbow import RainbowWitness, find_rainbow_path
 from .colorer import (
     BUDGET_EXCEEDED,
     SAT,
@@ -47,7 +46,6 @@ __all__ = [
     "UNSAT",
     "build_colored_graph",
     "build_graph",
-    "color_graph",
     "decode_colored",
     "decode_graph6",
     "disjoint_union",
@@ -55,7 +53,6 @@ __all__ = [
     "encode_graph6",
     "find_coloring",
     "find_rainbow_path",
-    "find_rainbow_path_through",
     "is_planar",
     "is_proper",
     "iter_coloring_classes",

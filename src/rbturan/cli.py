@@ -20,10 +20,10 @@ import time
 from typing import Any
 
 from . import __version__
-from .codec import CodecError, colored_to_doc, decode_colored, decode_graph6
+from .codec import CodecError, colored_to_doc, decode_colored, decode_graph6, read_graph6_file
 from .colorer import find_coloring
 from .constructions import FAMILIES, FAMILY_TABLE, make, validate_construction
-from .extremal import compute_extremal, run_level
+from .extremal import BudgetExhausted, compute_extremal, run_level
 from .graphs import GraphError, is_proper
 from .lemmas import LEMMA_IDS, verify_lemma
 from .rainbow import find_rainbow_path
@@ -103,18 +103,17 @@ def _load_graph(args):
         return decode_graph6(args.graph6)
     if args.input is None:
         raise GraphError("supply --graph6 TEXT or --input FILE")
-    text = _read_text(args.input)
-    stripped = text.strip()
-    if not stripped:
+    text = _read_text(args.input).strip()
+    if not text:
         raise CodecError(f"{args.input} is empty")
-    if stripped.startswith("{"):
+    if text.startswith("{"):
         return decode_colored(text).graph
-    lines = [line for line in stripped.splitlines() if line.strip()]
-    if len(lines) > 1:
+    graphs = read_graph6_file(args.input)
+    if len(graphs) > 1:
         raise CodecError(
-            f"{args.input} holds {len(lines)} graph6 lines; color searches one graph"
+            f"{args.input} holds {len(graphs)} graph6 lines; color searches one graph"
         )
-    return decode_graph6(lines[0])
+    return graphs[0]
 
 
 def _cmd_color(args) -> int:
@@ -371,9 +370,9 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, CodecError, OSError) as exc:
+    except (BudgetExhausted, GraphError, CodecError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        return EXIT_BUDGET if isinstance(exc, BudgetExhausted) else EXIT_USAGE
 
 
 def main() -> None:  # pragma: no cover - thin wrapper

@@ -139,8 +139,6 @@ def colored_from_doc(doc: Any) -> ColoredGraph:
         u, v, c = entry
         if not all(_is_int(x) for x in (u, v, c)):
             raise CodecError(f"non-integer edge entry {entry!r}")
-        if c <= 0:
-            raise CodecError(f"color id must be positive, got {c} on edge ({u},{v})")
         triples.append((u, v, c))
     try:
         return build_colored_graph(n, triples)

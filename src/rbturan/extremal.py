@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import os
 from collections import Counter
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -32,6 +33,10 @@ from .graphs import ColoredGraph, Graph, GraphError, build_colored_graph
 from .planarity import is_planar, planar_edge_cap
 
 BUILTIN_MAX_N = 8
+
+
+class BudgetExhausted(Exception):
+    """A level descent ran out of search budget before it found a value."""
 
 
 def is_reduced(g: Graph) -> bool:
@@ -180,7 +185,9 @@ def run_level(
             ctx = get_context("fork")
         except ValueError:  # platforms without fork; Graph payloads pickle fine
             ctx = get_context("spawn")
-        with ctx.Pool(processes=len(payloads)) as pool:
+        # chunks follow --jobs; the pool never outnumbers the CPUs it may use
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with ctx.Pool(processes=min(len(payloads), cpus or 1)) as pool:
             # map returns the parts in chunk order, so results follow graphs
             results = [r for part in pool.map(_solve_chunk, payloads) for r in part]
     tally = Counter(status for status, _, _ in results)
@@ -322,7 +329,7 @@ def compute_extremal(
         previous: LevelReport | None = None
         for level in run((n, m, False) for m in range(cap, -1, -1)):
             if level.status == "BUDGET":
-                raise GraphError(
+                raise BudgetExhausted(
                     f"level ({n},{level.m}) exhausted the search budget; "
                     "rerun with a larger --budget-nodes"
                 )

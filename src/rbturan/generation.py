@@ -43,15 +43,6 @@ def relabel(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
-def _masks(g: Graph) -> list[int]:
-    """Adjacency bitmask of every vertex."""
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
 def _refine(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]:
     """Coarsest equitable refinement of an ordered partition.
 
@@ -184,7 +175,7 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     n = g.n
     if n > CANONICAL_MAX_N:
         raise GraphError(f"canonical_form guard: n={n} > {CANONICAL_MAX_N}")
-    return (n, _canonical_code(_masks(g), [(1 << n) - 1] if n else [])[0])
+    return (n, _canonical_code(g.masks(), [(1 << n) - 1] if n else [])[0])
 
 
 def _orbit(gens: list[list[int]], x: int, y: int) -> set[tuple[int, int]]:
@@ -269,7 +260,7 @@ class LevelLadder:
         full = (1 << n) - 1
         children: list[tuple[int, int]] = []
         for parent in self._levels[-1]:
-            padj = _masks(parent)
+            padj = parent.masks()
             pdeg = [a.bit_count() for a in padj]
             reps = self._reps[parent]
             while reps:

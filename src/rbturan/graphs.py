@@ -40,6 +40,15 @@ class Graph:
             nbrs[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbrs)
 
+    def masks(self) -> list[int]:
+        """Adjacency bitmask of every vertex, in a new list the caller may
+        change."""
+        adj = [0] * self.n
+        for u, v in self.edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return adj
+
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
@@ -110,27 +119,15 @@ class ColoredGraph:
         return len(set(self.colors))
 
 
-def color_graph(g: Graph, coloring: Mapping[tuple[int, int], int]) -> ColoredGraph:
-    """Attach a total coloring to g, given as an edge->color mapping."""
-    normalized = {canonical_edge(u, v): c for (u, v), c in coloring.items()}
-    missing = [e for e in g.edges if e not in normalized]
-    if missing:
-        raise GraphError(f"edges without a color: {missing[:3]}")
-    extra = [e for e in normalized if e not in g.edge_set]
-    if extra:
-        raise GraphError(f"colored non-edges: {extra[:3]}")
-    colors = tuple(normalized[e] for e in g.edges)
-    for c in colors:
-        if not isinstance(c, int) or c <= 0:
-            raise GraphError(f"color ids must be positive integers, got {c!r}")
-    return ColoredGraph(g, colors)
-
-
 def build_colored_graph(n: int, triples: Iterable[tuple[int, int, int]]) -> ColoredGraph:
     """Build graph and coloring together from (u, v, color) triples."""
     triples = list(triples)
     g = build_graph(n, [(u, v) for u, v, _ in triples])
-    return color_graph(g, {(u, v): c for u, v, c in triples})
+    for u, v, c in triples:
+        if not isinstance(c, int) or c <= 0:
+            raise GraphError(f"color ids must be positive integers, got {c!r} on edge ({u},{v})")
+    color = {canonical_edge(u, v): c for u, v, c in triples}
+    return ColoredGraph(g, tuple(color[e] for e in g.edges))
 
 
 def is_proper(cg: ColoredGraph) -> bool:
@@ -178,12 +175,10 @@ def disjoint_union(parts: Sequence[ColoredGraph]) -> ColoredGraph:
     offset = 0
     color_offset = 0
     triples: list[tuple[int, int, int]] = []
-    total = 0
     for part in parts:
         norm = normalize_colors(part)
         for (u, v), c in zip(norm.edges, norm.colors):
             triples.append((u + offset, v + offset, c + color_offset))
         offset += norm.n
         color_offset += len(set(norm.colors))
-        total += norm.n
-    return build_colored_graph(total, triples)
+    return build_colored_graph(offset, triples)

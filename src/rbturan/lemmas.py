@@ -11,60 +11,121 @@ graph automorphism, because the facts are phrased on labeled vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .colorer import iter_coloring_classes
 from .graphs import ColoredGraph, Graph, GraphError, build_graph
 
-LEMMA_IDS = ("bowtie-5.2", "fish-5.4", "medium-5.5", "heavy-5.7")
-
 
 @dataclass(frozen=True)
 class Template:
-    id: str
+    """A labeled graph and its predicates: coloring -> named flags."""
+
     graph: Graph
     labels: dict[str, int] = field(hash=False)
+    predicates: Callable[[Template, ColoredGraph], dict[str, bool]] = field(hash=False)
 
     def color(self, cg: ColoredGraph, a: str, b: str) -> int:
         return cg.color_of(self.labels[a], self.labels[b])
 
 
-def _bow_tie() -> Template:
-    # two triangles sharing exactly one vertex u
-    g = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-    return Template("bow-tie", g, {"u": 0, "u1": 1, "u2": 2, "u3": 3, "u4": 4})
+def _bow_tie_flags(t: Template, cg: ColoredGraph) -> dict[str, bool]:
+    c = t.color
+    spokes = {c(cg, "u", f"u{i}") for i in range(1, 5)}
+    tip1, tip2 = c(cg, "u1", "u2"), c(cg, "u3", "u4")
+    return {"tips-share-one-fresh-color": tip1 == tip2 and tip1 not in spokes}
 
 
-def _fish() -> Template:
-    # a triangle u u1 u2 and a 4-cycle u u3 w u4 sharing exactly vertex u
-    g = build_graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 5), (4, 5)])
-    return Template("fish", g, {"u": 0, "u1": 1, "u2": 2, "u3": 3, "u4": 4, "w": 5})
+def _fish_flags(t: Template, cg: ColoredGraph) -> dict[str, bool]:
+    c = t.color
+    return {
+        "four-cycle-colors-swap": (
+            c(cg, "w", "u3") == c(cg, "u", "u4")
+            and c(cg, "w", "u4") == c(cg, "u", "u3")
+        ),
+        "triangle-reuses-a-cycle-spoke": c(cg, "u1", "u2") in (c(cg, "u", "u3"), c(cg, "u", "u4")),
+    }
 
 
-def _medium_pair() -> Template:
-    # three cherries v u_i w with common ends: K_{2,3}
-    g = build_graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
-    return Template("medium-pair", g, {"v": 0, "w": 1, "u1": 2, "u2": 3, "u3": 4})
-
-
-def _heavy_pair() -> Template:
-    # four cherries v u_i w with common ends: K_{2,4}
-    g = build_graph(
-        6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5)]
+def _medium_pair_flags(t: Template, cg: ColoredGraph) -> dict[str, bool]:
+    c = t.color
+    total = cg.colors_used()
+    v_side = [c(cg, "v", f"u{i}") for i in range(1, 4)]
+    w_side = [c(cg, "w", f"u{i}") for i in range(1, 4)]
+    swap = any(
+        v_side[i] == w_side[j] and v_side[j] == w_side[i]
+        for i in range(3)
+        for j in range(3)
+        if i < j
     )
-    return Template("heavy-pair", g, {"v": 0, "w": 1, "u1": 2, "u2": 3, "u3": 4, "u4": 5})
+    three = total == 3 and all(x in w_side for x in v_side)
+    four = total == 4 and swap
+    return {
+        "four-color-scheme": four,
+        "three-color-scheme": three,
+        "scheme-dichotomy": four or three,
+        # finer structure, reported but not part of the verified clause
+        "three-scheme-derangement": three and all(v_side[i] != w_side[i] for i in range(3)),
+    }
 
 
-_TEMPLATES = {
-    "bow-tie": _bow_tie,
-    "fish": _fish,
-    "medium-pair": _medium_pair,
-    "heavy-pair": _heavy_pair,
+def _heavy_pair_flags(t: Template, cg: ColoredGraph) -> dict[str, bool]:
+    c = t.color
+    total = cg.colors_used()
+    v_side = [c(cg, "v", f"u{i}") for i in range(1, 5)]
+    w_side = [c(cg, "w", f"u{i}") for i in range(1, 5)]
+
+    def swapped(i: int, j: int) -> bool:
+        return v_side[i] == w_side[j] and v_side[j] == w_side[i]
+
+    pairing = any(
+        swapped(i, j) and swapped(l, m)
+        for (i, j, l, m) in [(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)]
+    )
+    return {"four-colors-fully-paired": total == 4 and pairing}
+
+
+TEMPLATES: dict[str, Template] = {
+    # two triangles sharing exactly one vertex u
+    "bow-tie": Template(
+        build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
+        {"u": 0, "u1": 1, "u2": 2, "u3": 3, "u4": 4},
+        _bow_tie_flags,
+    ),
+    # a triangle u u1 u2 and a 4-cycle u u3 w u4 sharing exactly vertex u
+    "fish": Template(
+        build_graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 5), (4, 5)]),
+        {"u": 0, "u1": 1, "u2": 2, "u3": 3, "u4": 4, "w": 5},
+        _fish_flags,
+    ),
+    # three cherries v u_i w with common ends: K_{2,3}
+    "medium-pair": Template(
+        build_graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),
+        {"v": 0, "w": 1, "u1": 2, "u2": 3, "u3": 4},
+        _medium_pair_flags,
+    ),
+    # four cherries v u_i w with common ends: K_{2,4}
+    "heavy-pair": Template(
+        build_graph(6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5)]),
+        {"v": 0, "w": 1, "u1": 2, "u2": 3, "u3": 4, "u4": 5},
+        _heavy_pair_flags,
+    ),
 }
+
+# lemma id -> (template id, flags every class must satisfy)
+LEMMAS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "bowtie-5.2": ("bow-tie", ("tips-share-one-fresh-color",)),
+    "fish-5.4": ("fish", ("four-cycle-colors-swap", "triangle-reuses-a-cycle-spoke")),
+    "medium-5.5": ("medium-pair", ("scheme-dichotomy",)),
+    "heavy-5.7": ("heavy-pair", ("four-colors-fully-paired",)),
+}
+
+LEMMA_IDS = tuple(LEMMAS)
 
 
 def template(template_id: str) -> Template:
     try:
-        return _TEMPLATES[template_id]()
+        return TEMPLATES[template_id]
     except KeyError:
         raise GraphError(f"unknown template {template_id!r}") from None
 
@@ -81,72 +142,7 @@ class SchemeClass:
 def enumerate_schemes(t: Template, k: int = 5) -> list[SchemeClass]:
     """Complete list of color-renaming classes of proper rainbow-P_k-free
     colorings of the template, each flagged by the lemma predicates."""
-    out = []
-    for rep in iter_coloring_classes(t.graph, k):
-        out.append(SchemeClass(rep, _flags(t, rep)))
-    return out
-
-
-def _flags(t: Template, cg: ColoredGraph) -> dict[str, bool]:
-    flags: dict[str, bool] = {}
-    c = t.color
-    if t.id == "bow-tie":
-        spokes = {c(cg, "u", f"u{i}") for i in range(1, 5)}
-        tip1, tip2 = c(cg, "u1", "u2"), c(cg, "u3", "u4")
-        flags["tips-share-one-fresh-color"] = tip1 == tip2 and tip1 not in spokes
-    elif t.id == "fish":
-        flags["four-cycle-colors-swap"] = (
-            c(cg, "w", "u3") == c(cg, "u", "u4")
-            and c(cg, "w", "u4") == c(cg, "u", "u3")
-        )
-        flags["triangle-reuses-a-cycle-spoke"] = c(cg, "u1", "u2") in (
-            c(cg, "u", "u3"),
-            c(cg, "u", "u4"),
-        )
-    elif t.id == "medium-pair":
-        total = cg.colors_used()
-        v_side = [c(cg, "v", f"u{i}") for i in range(1, 4)]
-        w_side = [c(cg, "w", f"u{i}") for i in range(1, 4)]
-        swap = any(
-            v_side[i] == w_side[j] and v_side[j] == w_side[i]
-            for i in range(3)
-            for j in range(3)
-            if i < j
-        )
-        three = total == 3 and all(x in w_side for x in v_side)
-        four = total == 4 and swap
-        flags["four-color-scheme"] = four
-        flags["three-color-scheme"] = three
-        flags["scheme-dichotomy"] = four or three
-        # finer structure, reported but not part of the verified clause
-        flags["three-scheme-derangement"] = three and all(
-            v_side[i] != w_side[i] for i in range(3)
-        )
-    elif t.id == "heavy-pair":
-        total = cg.colors_used()
-        v_side = [c(cg, "v", f"u{i}") for i in range(1, 5)]
-        w_side = [c(cg, "w", f"u{i}") for i in range(1, 5)]
-
-        def swapped(i: int, j: int) -> bool:
-            return v_side[i] == w_side[j] and v_side[j] == w_side[i]
-
-        pairing = any(
-            swapped(i, j) and swapped(l, m)
-            for (i, j, l, m) in [(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)]
-        )
-        flags["four-colors-fully-paired"] = total == 4 and pairing
-    else:  # pragma: no cover - templates are closed
-        raise GraphError(f"no predicates for template {t.id!r}")
-    return flags
-
-
-_LEMMA_TO_CHECK: dict[str, tuple[str, tuple[str, ...]]] = {
-    # lemma id -> (template id, flags every class must satisfy)
-    "bowtie-5.2": ("bow-tie", ("tips-share-one-fresh-color",)),
-    "fish-5.4": ("fish", ("four-cycle-colors-swap", "triangle-reuses-a-cycle-spoke")),
-    "medium-5.5": ("medium-pair", ("scheme-dichotomy",)),
-    "heavy-5.7": ("heavy-pair", ("four-colors-fully-paired",)),
-}
+    return [SchemeClass(rep, t.predicates(t, rep)) for rep in iter_coloring_classes(t.graph, k)]
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,7 @@ def verify_lemma(lemma_id: str, k: int = 5) -> LemmaReport:
     """PASS iff every enumerated coloring class of the lemma's template
     satisfies the lemma's predicate; FAIL carries the violating classes."""
     try:
-        template_id, required = _LEMMA_TO_CHECK[lemma_id]
+        template_id, required = LEMMAS[lemma_id]
     except KeyError:
         raise GraphError(
             f"unknown lemma {lemma_id!r}; known: {', '.join(LEMMA_IDS)}"

@@ -66,11 +66,7 @@ def is_planar(g: Graph) -> PlanarityVerdict:
     """Decide whether g embeds in the plane."""
     if len(g.edges) > planar_edge_cap(g.n):
         return PlanarityVerdict(False, "euler-bound")
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return _verdict(_kernel(adj))
+    return _verdict(_kernel(g.masks()))
 
 
 def _verdict(adj: list[int]) -> PlanarityVerdict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ColoredGraph, GraphError, canonical_edge, normalize_colors
+from .graphs import ColoredGraph, GraphError, normalize_colors
 
 
 @dataclass(frozen=True)
@@ -77,39 +77,3 @@ def find_rainbow_path(cg: ColoredGraph, k: int) -> RainbowWitness | None:
             return RainbowWitness(tuple(path), cols)
     return None
 
-
-def find_rainbow_path_through(
-    cg: ColoredGraph, e: tuple[int, int], k: int
-) -> RainbowWitness | None:
-    """A rainbow P_k witness using edge e, or None if no rainbow P_k does."""
-    if k < 2:
-        raise GraphError(f"paths need k >= 2 vertices, got k={k}")
-    a, b = canonical_edge(*e)
-    if not cg.graph.has_edge(a, b):
-        raise GraphError(f"({e[0]},{e[1]}) is not an edge")
-    g = cg.graph
-    if k > g.n:
-        return None
-    nbrs = _colored_adjacency(cg)
-    base = (1 << a) | next(bits for w, bits in nbrs[a] if w == b)
-
-    def arms(start: int, length: int, used: int):
-        """All rainbow extensions of the given length from start, in
-        ascending neighbor order; yields (vertex list, used mask)."""
-        if length == 0:
-            yield [], used
-            return
-        for w, bits in nbrs[start]:
-            if used & bits:
-                continue
-            for rest, u in arms(w, length - 1, used | bits):
-                yield [w] + rest, u
-
-    for left_len in range(k - 1):
-        right_len = k - 2 - left_len
-        for left, used in arms(a, left_len, base):
-            for right, _ in arms(b, right_len, used):
-                seq = list(reversed(left)) + [a, b] + right
-                cols = tuple(cg.color_of(seq[i], seq[i + 1]) for i in range(k - 1))
-                return RainbowWitness(tuple(seq), cols)
-    return None

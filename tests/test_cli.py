@@ -297,6 +297,14 @@ def test_refute_budget_exits_3(capsys):
     assert parse(out)["status"] == "BUDGET"
 
 
+def test_extremal_descent_budget_exits_3(capsys):
+    # no construction is known at (6, k=4), so the value comes from level
+    # descent, and a level that runs out of budget leaves no value to report
+    code, out, err = invoke(capsys, "extremal", "-n", "6", "-k", "4", "--budget-nodes", "1")
+    assert code == 3 and out == ""
+    assert "level (6,12) exhausted the search budget" in err
+
+
 def test_refute_filter_flags(capsys):
     code, out, _ = invoke(capsys, "refute", "-n", "5", "-m", "8", "-k", "5", "--no-reduced")
     assert code == 0

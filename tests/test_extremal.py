@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import os
 
 import networkx as nx
 import pytest
 
+from rbturan import extremal
 from rbturan.codec import encode_graph6
 from rbturan.colorer import oracle_enumerate
 from rbturan.extremal import (
@@ -197,6 +199,46 @@ def test_pool_keeps_candidate_order_on_levels_with_sat(n, m, k):
     assert alone.counts["sat"] and alone.counts["unsat"]
     for jobs in (2, 3):
         assert run_level(n, m, k, reduced=False, jobs=jobs) == alone
+
+
+class _RecordingContext:
+    """Stands in for a multiprocessing context: records the size of each
+    pool asked for and the number of chunks, and maps in this process."""
+
+    def __init__(self):
+        self.processes: list[int] = []
+        self.chunks = 0
+
+    def Pool(self, processes):
+        self.processes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        self.chunks = len(payloads)
+        return [fn(p) for p in payloads]
+
+
+@pytest.mark.parametrize("affinity, cpus", [(True, 2), (False, 3)], ids=["affinity", "cpu-count"])
+def test_pool_never_outnumbers_cpus(monkeypatch, affinity, cpus):
+    ctx = _RecordingContext()
+    monkeypatch.setattr(extremal, "get_context", lambda method: ctx)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    alone = run_level(6, 10, 5, reduced=False, jobs=1)
+    wide = run_level(6, 10, 5, reduced=False, jobs=5000)
+    assert ctx.processes == [cpus]
+    # chunking still follows --jobs: one candidate per chunk here
+    assert ctx.chunks == alone.counts["planar"] > cpus
+    assert wide == alone
 
 
 def test_budget_poisons_level():

@@ -11,7 +11,6 @@ from rbturan.generation import (
     LevelLadder,
     _canonical_code,
     _graph_of_code,
-    _masks,
     canonical_form,
     relabel,
 )
@@ -243,7 +242,7 @@ def test_automorphism_generators_give_the_orbits_networkx_enumerates():
                     for iso in GraphMatcher(G, G).isomorphisms_iter()
                 ]
                 want = _pair_orbits(n, auts)
-                _, _, gens = _canonical_code(_masks(g), [(1 << n) - 1])
+                _, _, gens = _canonical_code(g.masks(), [(1 << n) - 1])
                 assert _pair_orbits(n, gens) == want, (n, g.edges)
                 reps = ladder._reps[g]
                 picked = {divmod(i, n) for i in range(n * n) if reps >> i & 1}

@@ -29,6 +29,7 @@ from rbturan.generation import LevelLadder
 
 CERT = "gn12.json"
 LEVEL = "level_6_10.g6"
+ONE_GRAPH = "c.g6"
 
 COMMANDS: dict[str, list[str]] = {
     "extremal-5-5-expect": ["extremal", "-n", "5", "-k", "5", "--expect", "7"],
@@ -51,10 +52,12 @@ COMMANDS: dict[str, list[str]] = {
         "refute", "-n", "5", "-m", "8", "-k", "5", "--no-reduced", "--no-planar",
     ],
     "color-5-C~": ["color", "-k", "5", "--graph6", "C~"],
+    "color-5-input-C~": ["color", "-k", "5", "--input", ONE_GRAPH],
     "color-8-double-wheel-18": [
         "color", "-k", "8", "--graph6", encode_graph6(double_wheel(18).graph),
     ],
     "lemma-all": ["lemma", "all"],
+    "lemma-bowtie-k6-violations": ["lemma", "bowtie-5.2", "-k", "6"],
     "construct-k4-blocks": ["construct", "k4-blocks", "-n", "8", "--validate"],
     "construct-g5": ["construct", "g5", "--validate"],
     "construct-g7": ["construct", "g7", "--validate"],
@@ -74,6 +77,7 @@ COMMANDS: dict[str, list[str]] = {
 # (exit code, SHA-256 of stdout) per command.
 GOLDEN: dict[str, tuple[int, str]] = {
     "color-5-C~": (0, "d4f8e6382b6ab5b77f7846f5dbe88d0118917ef8bd71acfdb06ad614b4cfd824"),
+    "color-5-input-C~": (0, "d4f8e6382b6ab5b77f7846f5dbe88d0118917ef8bd71acfdb06ad614b4cfd824"),
     "color-8-double-wheel-18": (0, "f9d0d8db8bb9396f262c9d03652cd916bef5344b3ce848da98f72d470924c91a"),
     "construct-disjoint-copies": (0, "9a10ca386cb7d3014ce0310f12d21199c5e11c1932ab2b45323b83859784c3ad"),
     "construct-double-wheel": (0, "84b409b0c576bc9d7081625827805c2a1a649bdb0db418d5620317209a24c318"),
@@ -99,6 +103,7 @@ GOLDEN: dict[str, tuple[int, str]] = {
     "extremal-8-5-jobs-2": (0, "38f26fc1d274f4be84346d87951931676f59ea9f0e95268f4f385748d241024d"),
     "extremal-9-8-k2-path": (0, "9910dc84d9946d4bc4dd94451b6dcd5c0d2e23d53fbb031cfeccda6424efa843"),
     "lemma-all": (0, "47dc47e682821b8a26394badc7736b537d1154b67723c283a8873522a8383ea2"),
+    "lemma-bowtie-k6-violations": (1, "1dd45f72ba254364321aa9d6703fc5713a73d33181c66ae301150e99d88315ba"),
     "refute-5-8-5-unfiltered": (0, "05fc893bb2718ef762a84de7a66221e68a6e3db993abb8a73426da0acca769ae"),
     "refute-6-10-5": (0, "8fe2b641d1bb20818a82c4294b0582b1d19088f423b5bf8efaacecf3d09fb01f"),
     "validate-gn12": (0, "ce33f846f0e12c58808fa6b1361e0cbcbd28ae098f20fb8aed1b898085be56eb"),
@@ -113,8 +118,8 @@ def _run(argv: list[str]) -> tuple[int, bytes]:
 
 
 def _write_inputs(directory: str) -> None:
-    """The gn(12) certificate as `construct` emits it, and the built-in
-    (6,10) level as a graph6 file."""
+    """The gn(12) certificate as `construct` emits it, the built-in (6,10)
+    level as a graph6 file, and a graph6 file holding one graph."""
     code, out = _run(["construct", "gn", "-n", "12"])
     assert code == 0
     graph = json.loads(out)["graph"]
@@ -122,6 +127,8 @@ def _write_inputs(directory: str) -> None:
         fh.write(json.dumps(graph))
     with open(os.path.join(directory, LEVEL), "w", encoding="ascii") as fh:
         fh.write("".join(encode_graph6(g) + "\n" for g in LevelLadder(6).level(10)))
+    with open(os.path.join(directory, ONE_GRAPH), "w", encoding="ascii") as fh:
+        fh.write("C~\n")
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,6 @@ from rbturan.graphs import (
     GraphError,
     build_colored_graph,
     build_graph,
-    color_graph,
     disjoint_union,
     is_proper,
     normalize_colors,
@@ -133,9 +132,13 @@ def test_disjoint_union_many_k4_blocks():
     assert is_proper(u)
 
 
-def test_color_graph_needs_total_assignment():
-    g = build_graph(3, [(0, 1), (1, 2)])
-    with pytest.raises(GraphError, match="without a color"):
-        color_graph(g, {(0, 1): 1})
-    with pytest.raises(GraphError, match="positive"):
-        color_graph(g, {(0, 1): 1, (1, 2): 0})
+def test_build_colored_graph_needs_positive_colors():
+    for bad in (0, -1, "1"):
+        with pytest.raises(GraphError, match="positive"):
+            build_colored_graph(3, [(0, 1, 1), (2, 1, bad)])
+
+
+def test_every_public_name_resolves():
+    import rbturan
+
+    assert [name for name in rbturan.__all__ if not hasattr(rbturan, name)] == []

@@ -15,7 +15,6 @@ from rbturan.graphs import (
 from rbturan.rainbow import (
     RainbowWitness,
     find_rainbow_path,
-    find_rainbow_path_through,
     replay_witness,
 )
 
@@ -93,30 +92,10 @@ def test_k_below_2_rejected():
         find_rainbow_path(cg, 1)
 
 
-def test_through_requires_edge():
-    cg = build_colored_graph(3, [(0, 1, 1), (1, 2, 2)])
-    with pytest.raises(GraphError, match="not an edge"):
-        find_rainbow_path_through(cg, (0, 2), 3)
-
-
-def test_through_middle_edge_of_p5():
-    cg = build_colored_graph(5, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4)])
-    w = find_rainbow_path_through(cg, (2, 3), 5)
-    assert w is not None and replay_witness(cg, w, 5)
-    assert find_rainbow_path_through(cg, (1, 2), 5) is not None
-
-
-def test_through_k4_none():
-    cg = build_colored_graph(4, FIGURE_K4)
-    for e in cg.edges:
-        assert find_rainbow_path_through(cg, e, 4) is None
-
-
 def test_single_edge_is_rainbow_p2():
     cg = build_colored_graph(4, FIGURE_K4)
-    for e in cg.edges:
-        w = find_rainbow_path_through(cg, e, 2)
-        assert w is not None and set(w.vertices) == set(e)
+    w = find_rainbow_path(cg, 2)
+    assert w == RainbowWitness((0, 1), (1,))
 
 
 def test_exhaustive_agreement_with_brute_force(edge_corpus):
@@ -150,47 +129,6 @@ def test_agreement_with_raw_permutation_enumeration(edge_corpus):
                         if len(seq) == k
                     )
                     assert (find_rainbow_path(cg, k) is not None) == want
-
-
-def test_through_agrees_with_restriction(edge_corpus):
-    """Existence through e agrees with a filtered whole-graph enumeration."""
-    rng = random.Random(3)
-
-    def paths_using(cg, e, k):
-        g = cg.graph
-        target = tuple(sorted(e))
-        hits = []
-
-        def walk(seq):
-            if len(seq) == k:
-                edges = {tuple(sorted((seq[i], seq[i + 1]))) for i in range(k - 1)}
-                cols = {cg.color_of(a, b) for a, b in edges}
-                if target in edges and len(cols) == k - 1:
-                    hits.append(tuple(seq))
-                return
-            for w in g.adj[seq[-1]]:
-                if w not in seq:
-                    walk(seq + [w])
-
-        for s in range(g.n):
-            walk([s])
-        return bool(hits)
-
-    for m in range(3, 7):
-        sample = [g for g in edge_corpus[m] if g.n <= 7]
-        rng.shuffle(sample)
-        for g in sample[:6]:
-            for cg in all_colorings(g)[:40]:
-                for k in (3, 4, 5):
-                    for e in g.edges:
-                        got = find_rainbow_path_through(cg, e, k)
-                        assert (got is not None) == paths_using(cg, e, k)
-                        if got is not None:
-                            assert replay_witness(cg, got, k)
-                            assert tuple(sorted(e)) in {
-                                tuple(sorted((got.vertices[i], got.vertices[i + 1])))
-                                for i in range(k - 1)
-                            }
 
 
 def test_k_monotonicity(edge_corpus):
