@@ -33,6 +33,15 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# exit code of a search verdict; a status not listed (UNSAT, FAIL) is a mismatch
+STATUS_EXIT = {
+    "SAT": EXIT_OK,
+    "PASS": EXIT_OK,
+    "OK": EXIT_OK,
+    "BUDGET": EXIT_BUDGET,
+    "BUDGET_EXCEEDED": EXIT_BUDGET,
+}
+
 
 def _int_at_least(low: int, env: str):
     """argparse type for an integer option >= low.  argparse also applies it
@@ -139,9 +148,7 @@ def _cmd_color(args) -> int:
         )
     doc = _report("color", config, body)
     _emit(doc, f"{out.status} ({out.nodes} nodes, {secs:.2f}s)")
-    if out.sat:
-        return EXIT_OK
-    return EXIT_BUDGET if out.status == "BUDGET_EXCEEDED" else EXIT_MISMATCH
+    return STATUS_EXIT.get(out.status, EXIT_MISMATCH)
 
 
 def _scheme_doc(sc) -> dict[str, Any]:
@@ -232,13 +239,10 @@ def _cmd_extremal(args) -> int:
     }
     doc = _report("extremal", config, rep.to_doc())
     _emit(doc, f"extremal(n={args.n}, k={args.k}) = {rep.value} [{rep.status}] in {secs:.1f}s")
-    if rep.status == "BUDGET":
-        return EXIT_BUDGET
-    if rep.status != "OK":
+    code = STATUS_EXIT.get(rep.status, EXIT_MISMATCH)
+    if code == EXIT_OK and args.expect is not None and rep.value != args.expect:
         return EXIT_MISMATCH
-    if args.expect is not None and rep.value != args.expect:
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return code
 
 
 def _cmd_refute(args) -> int:
@@ -269,9 +273,7 @@ def _cmd_refute(args) -> int:
         f"level ({args.n},{args.m}) k={args.k}: {rep.status} "
         f"({rep.counts['unsat']} UNSAT of {rep.counts['planar']}) in {secs:.1f}s",
     )
-    if rep.status == "PASS":
-        return EXIT_OK
-    return EXIT_BUDGET if rep.status == "BUDGET" else EXIT_MISMATCH
+    return STATUS_EXIT.get(rep.status, EXIT_MISMATCH)
 
 
 def _cmd_validate(args) -> int:

@@ -3,6 +3,7 @@ validation gate (edge count, properness, planarity, rainbow-freeness).
 
 Families:
 
+  matching      floor(n/2) disjoint edges in distinct colors, no rainbow P3
   k4-blocks     disjoint K4 blocks, one shared proper 3-coloring (n % 4 == 0)
   g5, g7        the fixed 5- and 7-vertex graphs with floor(3n/2) edges
   gn            floor(3n/2)-edge rainbow-P5-free family for any n >= 4:
@@ -15,9 +16,9 @@ Families:
   disjoint-copies  t disjoint copies of a base family
 
 FAMILY_TABLE states the facts of each family once: its builder, the k of
-the rainbow P_k it avoids, its edge count as a function of n (floor(3n/2)
-or the planar maximum 3n-6), its fixed n if it has one, and whether the
-extremal pipeline claims it as an achiever.  `make`, the `construct`
+the rainbow P_k it avoids, its edge count as a function of n (floor(n/2),
+floor(3n/2) or the planar maximum 3n-6), its fixed n if it has one, and
+whether the extremal pipeline claims it as an achiever.  `make`, the `construct`
 defaults and `extremal._claimed_achiever` all read it.
 
 The prism coloring has two variants keyed on the parity of n/2; the
@@ -63,6 +64,13 @@ class ValidationReport:
 
     def to_doc(self) -> dict[str, Any]:
         return {**asdict(self), "passed": self.passed}
+
+
+def matching(n: int) -> ColoredGraph:
+    """floor(n/2) disjoint edges, each in its own color."""
+    if n < 1:
+        raise GraphError(f"matching needs n >= 1, got n={n}")
+    return build_colored_graph(n, [(2 * i, 2 * i + 1, 1 + i) for i in range(n // 2)])
 
 
 def _k4_block() -> list[tuple[int, int, int]]:
@@ -239,6 +247,7 @@ def _three_halves(n: int) -> int:
 
 # g5 and g7 are gn at n=5 and n=7; the pipeline claims gn for them.
 FAMILY_TABLE: dict[str, Family] = {
+    "matching": Family(matching, 3, lambda n: n // 2),
     "k4-blocks": Family(k4_blocks, 4, _three_halves),
     "g5": Family(g5, 5, _three_halves, fixed_n=5, claimed=False),
     "g7": Family(g7, 5, _three_halves, fixed_n=7, claimed=False),

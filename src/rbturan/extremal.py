@@ -29,7 +29,7 @@ from .codec import colored_to_doc, encode_graph6, read_graph6_file
 from .colorer import BUDGET_EXCEEDED, SAT, UNSAT, find_coloring
 from .constructions import FAMILY_TABLE, make, validate_construction
 from .generation import LevelLadder
-from .graphs import ColoredGraph, Graph, GraphError, build_colored_graph
+from .graphs import ColoredGraph, Graph, GraphError
 from .planarity import is_planar, planar_edge_cap
 
 BUILTIN_MAX_N = 8
@@ -138,18 +138,14 @@ class LevelReport:
 def _solve_chunk(payload: tuple) -> list[tuple[str, int, tuple[int, ...] | None]]:
     """Worker: run the coloring search on one chunk of candidates.
 
-    Returns (status, nodes, certificate colors) per graph, in chunk order;
-    the certificate is kept only for the chunk's first SAT candidate.
+    Returns (status, nodes, certificate colors or None) per graph, in
+    chunk order.
     """
     graphs, k, node_budget = payload
     out = []
-    have_sat = False
     for g in graphs:
         outcome = find_coloring(g, k, node_budget=node_budget)
-        cert = None
-        if outcome.sat and not have_sat:
-            cert = outcome.certificate.colors
-            have_sat = True
+        cert = outcome.certificate.colors if outcome.sat else None
         out.append((outcome.status, outcome.nodes, cert))
     return out
 
@@ -195,7 +191,7 @@ def run_level(
     lines, first_sat = [], None
     for i, (g, (status, _, cert)) in enumerate(zip(graphs, results)):
         lines.append(f"{i}:{encode_graph6(g)}:{status}")
-        if status == SAT and first_sat is None:  # first in its chunk: cert kept
+        if status == SAT and first_sat is None:
             first_sat = (i, ColoredGraph(g, cert))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     if tally[SAT]:
@@ -261,9 +257,6 @@ def _claimed_achiever(n: int, k: int) -> tuple[ColoredGraph, str] | None:
     avoids.  A family at the planar maximum is also tried for every longer
     path up to n vertices: it avoids those too, and no planar graph has
     more edges.  The first family that builds at n wins."""
-    if k == 3:
-        edges = [(2 * i, 2 * i + 1, 1 + i) for i in range(n // 2)]
-        return build_colored_graph(n, edges), "matching"
     for name, fam in FAMILY_TABLE.items():
         reach = range(fam.avoids, n + 1) if fam.edges is planar_edge_cap else (fam.avoids,)
         if fam.claimed and k in reach:
@@ -297,21 +290,6 @@ def compute_extremal(
     if k < 3:
         raise GraphError(f"need k >= 3, got k={k}")
     cap = planar_edge_cap(n)
-
-    def run(plan):
-        """Each (n', m', reduced) level of the plan, run in order on
-        demand; only level n'=n reads the graph6 file."""
-        for n2, m2, reduced in plan:
-            yield run_level(
-                n2,
-                m2,
-                k,
-                reduced=reduced,
-                jobs=jobs,
-                node_budget=node_budget,
-                graph6_path=graph6_path if n2 == n else None,
-            )
-
     claim = _claimed_achiever(n, k)
     if claim is None:
         # No known construction: descend the levels from the planar cap.
@@ -326,44 +304,25 @@ def compute_extremal(
                 f"no known construction for n={n}, k={k}, and level descent is "
                 f"built-in only, which caps at n <= {BUILTIN_MAX_N}"
             )
-        previous: LevelReport | None = None
-        for level in run((n, m, False) for m in range(cap, -1, -1)):
-            if level.status == "BUDGET":
-                raise BudgetExhausted(
-                    f"level ({n},{level.m}) exhausted the search budget; "
-                    "rerun with a larger --budget-nodes"
-                )
-            if level.first_sat is not None:
-                index, achiever = level.first_sat
-                return ExtremalReport(
-                    n=n,
-                    k=k,
-                    value=level.m,
-                    achiever=achiever,
-                    achiever_provenance=f"search:index-{index}",
-                    refutation=previous,
-                    chain=(),
-                    source=_candidate_source(graph6_path),
-                    status="OK",
-                )
-            previous = level
-        raise GraphError(f"no level of ({n}, k={k}) is satisfiable")  # pragma: no cover
-    achiever, label = claim
-    value = len(achiever.edges)
-    gate = validate_construction(achiever, k, value)
-    if not gate.passed:  # pragma: no cover - constructions are validated
-        raise GraphError(f"claimed achiever {label} failed validation: {gate}")
-    if value == cap:  # no planar graph has more edges: nothing to refute
-        plan = []
-    elif value == (3 * n) // 2:  # the reduced minimality chain over n' <= n
-        plan = [(n2, (3 * n2) // 2 + 1, True) for n2 in range(4, n + 1)]
+        plan = [(n, m, False) for m in range(cap, -1, -1)]
     else:
-        plan = [(n, value + 1, False)]
-    if not plan and graph6_path is not None:
-        raise GraphError(
-            f"the value {value} at n={n}, k={k} is the planar edge maximum, so no "
-            f"level is refuted and --from-graph6 {graph6_path} would not be read"
-        )
+        achiever, label = claim
+        value = len(achiever.edges)
+        provenance = f"construction:{label}"
+        gate = validate_construction(achiever, k, value)
+        if not gate.passed:  # pragma: no cover - constructions are validated
+            raise GraphError(f"claimed achiever {label} failed validation: {gate}")
+        if value == cap:  # no planar graph has more edges: nothing to refute
+            plan = []
+        elif value == (3 * n) // 2:  # the reduced minimality chain over n' <= n
+            plan = [(n2, (3 * n2) // 2 + 1, True) for n2 in range(4, n + 1)]
+        else:
+            plan = [(n, value + 1, False)]
+        if not plan and graph6_path is not None:
+            raise GraphError(
+                f"the value {value} at n={n}, k={k} is the planar edge maximum, so no "
+                f"level is refuted and --from-graph6 {graph6_path} would not be read"
+            )
     # the graph6 file feeds the top level only; every other level is built-in
     beyond = [n2 for n2, _, _ in plan if n2 > BUILTIN_MAX_N and (n2 < n or graph6_path is None)]
     if beyond == [n]:  # only the top level, which a file can feed
@@ -379,7 +338,30 @@ def compute_extremal(
             f"for n'={span}, beyond the cap n <= {BUILTIN_MAX_N}; "
             f"--from-graph6 feeds only the top level n'={n}"
         )
-    levels = tuple(run(plan))
+    levels: list[LevelReport] = []
+    for n2, m2, reduced in plan:
+        level = run_level(
+            n2,
+            m2,
+            k,
+            reduced=reduced,
+            jobs=jobs,
+            node_budget=node_budget,
+            graph6_path=graph6_path if n2 == n else None,
+        )
+        if claim is None:
+            # descent: a level without a verdict leaves no value, and the
+            # first SAT level is the value with its first SAT candidate
+            if level.status == "BUDGET":
+                raise BudgetExhausted(
+                    f"level ({n},{level.m}) exhausted the search budget; "
+                    "rerun with a larger --budget-nodes"
+                )
+            if level.first_sat is not None:
+                index, achiever = level.first_sat
+                value, provenance = m2, f"search:index-{index}"
+                break
+        levels.append(level)
     bad = [lv for lv in levels if not lv.passed]
     status = "OK"
     if bad:
@@ -389,9 +371,9 @@ def compute_extremal(
         k=k,
         value=value,
         achiever=achiever,
-        achiever_provenance=f"construction:{label}",
+        achiever_provenance=provenance,
         refutation=levels[-1] if levels else None,
-        chain=levels if plan and plan[0][2] else (),  # a reduced plan is the chain
+        chain=tuple(levels) if plan and plan[0][2] else (),  # a reduced plan is the chain
         source=_candidate_source(graph6_path),
         status=status,
     )

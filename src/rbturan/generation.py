@@ -31,16 +31,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph, GraphError, build_graph
+from .graphs import Graph, GraphError
 
 CANONICAL_MAX_N = 10
-
-
-def relabel(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
-    """Image of g under the vertex relabeling v -> perm[v]."""
-    if sorted(perm) != list(range(g.n)):
-        raise GraphError("perm is not a permutation of the vertex ids")
-    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def _refine(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]:

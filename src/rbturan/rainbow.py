@@ -23,18 +23,6 @@ class RainbowWitness:
     colors: tuple[int, ...]
 
 
-def replay_witness(cg: ColoredGraph, w: RainbowWitness, k: int) -> bool:
-    """Check a witness against the colored graph it claims to refute."""
-    vs = w.vertices
-    if len(vs) != k or len(set(vs)) != k or len(w.colors) != k - 1:
-        return False
-    for i in range(k - 1):
-        u, v = vs[i], vs[i + 1]
-        if not cg.graph.has_edge(u, v) or cg.color_of(u, v) != w.colors[i]:
-            return False
-    return len(set(w.colors)) == k - 1
-
-
 def _colored_adjacency(cg: ColoredGraph) -> list[list[tuple[int, int]]]:
     """Per vertex, (neighbour, bits) in ascending neighbour order.  One
     mask carries both what a step uses up: bit w for the neighbour w and

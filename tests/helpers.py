@@ -1,6 +1,7 @@
 """Reference code the tests share: an edge-by-edge generator of small
 graphs without isolated vertices, independent of the canonical-augmentation
-ladder, and a re-derivation of the frozen construction colorings."""
+ladder, a re-derivation of the frozen construction colorings, vertex
+relabelling and rainbow-witness replay."""
 
 from __future__ import annotations
 
@@ -8,6 +9,26 @@ from rbturan.colorer import find_coloring
 from rbturan.constructions import FAMILY_TABLE
 from rbturan.generation import canonical_form
 from rbturan.graphs import ColoredGraph, Graph, GraphError, build_graph
+from rbturan.rainbow import RainbowWitness
+
+
+def relabel(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
+    """Image of g under the vertex relabeling v -> perm[v]."""
+    if sorted(perm) != list(range(g.n)):
+        raise GraphError("perm is not a permutation of the vertex ids")
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def replay_witness(cg: ColoredGraph, w: RainbowWitness, k: int) -> bool:
+    """Check a witness against the colored graph it claims to refute."""
+    vs = w.vertices
+    if len(vs) != k or len(set(vs)) != k or len(w.colors) != k - 1:
+        return False
+    for i in range(k - 1):
+        u, v = vs[i], vs[i + 1]
+        if not cg.graph.has_edge(u, v) or cg.color_of(u, v) != w.colors[i]:
+            return False
+    return len(set(w.colors)) == k - 1
 
 
 def components(g: Graph) -> list[list[int]]:

@@ -24,7 +24,9 @@ from rbturan.extremal import compute_extremal
 from rbturan.generation import LevelLadder
 from rbturan.graphs import ColoredGraph, build_colored_graph, permute_colors
 from rbturan.lemmas import LEMMA_IDS, template, verify_lemma
-from rbturan.rainbow import find_rainbow_path, replay_witness
+from rbturan.rainbow import find_rainbow_path
+
+from helpers import replay_witness
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:

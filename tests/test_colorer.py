@@ -16,9 +16,11 @@ from rbturan.colorer import (
     oracle_enumerate,
 )
 from rbturan.constructions import double_wheel
-from rbturan.generation import LevelLadder, relabel
+from rbturan.generation import LevelLadder
 from rbturan.graphs import GraphError, build_graph, is_proper
 from rbturan.rainbow import find_rainbow_path
+
+from helpers import relabel
 
 K4 = build_graph(4, list(itertools.combinations(range(4), 2)))
 C4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from rbturan.cli import run
 from rbturan.constructions import (
     FAMILY_TABLE,
     double_wheel,
@@ -180,7 +183,16 @@ def test_corrupted_coloring_fails_gate():
     assert not rep.proper and not rep.passed
 
 
+def test_matching_validates_through_the_cli(capsys):
+    assert make("matching", 7).edges == ((0, 1), (2, 3), (4, 5))
+    assert run(["construct", "matching", "-n", "7", "--validate"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["k"] == 3
+    assert doc["validation"]["edge_count"] == 3 and doc["validation"]["passed"]
+
+
 def test_default_avoids_registry():
+    assert FAMILY_TABLE["matching"].avoids == 3
     assert FAMILY_TABLE["gn"].avoids == 5
     assert FAMILY_TABLE["double-wheel"].avoids == 8
     assert FAMILY_TABLE["octahedron"].avoids == 6

@@ -9,6 +9,7 @@ import pytest
 from rbturan import extremal
 from rbturan.codec import encode_graph6
 from rbturan.colorer import oracle_enumerate
+from rbturan.constructions import validate_construction
 from rbturan.extremal import (
     compute_extremal,
     enumerate_candidates,
@@ -181,6 +182,23 @@ def test_compute_extremal_search_fallback():
     assert rep.value >= 6
     assert rep.achiever_provenance.startswith("search:")
     assert rep.status == "OK"
+
+
+def test_every_small_report_is_certified():
+    # claimed plans and level descent end in the same report shape: a
+    # validated achiever with exactly `value` edges, and a refutation one
+    # edge above it unless the value is the planar maximum
+    for n in range(1, 8):
+        for k in range(3, 8):
+            rep = compute_extremal(n, k)
+            assert rep.status == "OK"
+            assert validate_construction(rep.achiever, k, rep.value).passed
+            if rep.refutation is None:
+                assert rep.value == planar_edge_cap(n)
+            else:
+                assert rep.refutation.m == rep.value + 1
+                assert rep.refutation.status == "PASS"
+            assert rep.achiever_provenance.startswith(("construction:", "search:"))
 
 
 def test_jobs_do_not_change_the_report():

@@ -12,12 +12,11 @@ from rbturan.generation import (
     _canonical_code,
     _graph_of_code,
     canonical_form,
-    relabel,
 )
 from rbturan.graphs import Graph, GraphError, build_graph
 from rbturan.planarity import is_planar
 
-from helpers import component_certificate
+from helpers import component_certificate, relabel
 
 # graphs on n vertices by edge count
 LEVEL_COUNTS = {

@@ -12,11 +12,9 @@ from rbturan.graphs import (
     build_colored_graph,
     permute_colors,
 )
-from rbturan.rainbow import (
-    RainbowWitness,
-    find_rainbow_path,
-    replay_witness,
-)
+from rbturan.rainbow import RainbowWitness, find_rainbow_path
+
+from helpers import replay_witness
 
 FIGURE_K4 = [(0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 2, 3), (1, 3, 2), (2, 3, 1)]
 G5_TRIPLES = [
