@@ -143,7 +143,7 @@ def _cmd_color(args) -> int:
             meta={
                 "k": args.k,
                 "max_colors": max_colors,
-                "stats": {"nodes": out.nodes, "colors_used": out.max_colors_used},
+                "stats": {"nodes": out.nodes, "colors_used": out.certificate.colors_used()},
             },
         )
     doc = _report("color", config, body)
@@ -187,10 +187,9 @@ def _cmd_lemma(args) -> int:
 
 def _cmd_construct(args) -> int:
     cg = make(args.family, args.n, args.copies, args.base)
-    k = args.k
-    if k is None:
-        base_family = args.base if args.family == "disjoint-copies" else args.family
-        k = FAMILY_TABLE[base_family].avoids
+    # make() accepts a base for disjoint-copies only, and requires it there
+    row = FAMILY_TABLE[args.base or args.family]
+    k = args.k if args.k is not None else row.avoids
     config = {
         "family": args.family,
         "n": args.n,
@@ -204,10 +203,8 @@ def _cmd_construct(args) -> int:
         _emit(doc, f"{args.family}: n={cg.n}, {len(cg.edges)} edges")
         return EXIT_OK
     expected = args.expect_edges
-    if expected is None:
-        row = FAMILY_TABLE.get(args.family)
-        # disjoint-copies: the edge count follows the parts
-        expected = row.edges(cg.n) if row else len(cg.edges)
+    if expected is None:  # copies is 1 outside disjoint-copies
+        expected = args.copies * row.edges(cg.n // args.copies)
     rep = validate_construction(cg, k, expected)
     body["validation"] = rep.to_doc()
     doc = _report("construct", config, body)

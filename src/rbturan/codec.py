@@ -88,13 +88,19 @@ def encode_graph6(g: Graph) -> str:
 
 def read_graph6_file(path: str) -> list[Graph]:
     """Read a file with one graph6 line per graph; blank lines skipped.  A
-    file with no graph6 line is rejected."""
+    file with no graph6 line is rejected; a bad line is reported as path:line."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [line.strip() for line in fh]
     except UnicodeDecodeError:
         raise CodecError(f"{path} is not a graph6 file: it holds non-ASCII bytes") from None
-    graphs = [decode_graph6(line) for line in lines if line]
+    graphs = []
+    for number, line in enumerate(lines, 1):  # 1-based, blank lines counted
+        if line:
+            try:
+                graphs.append(decode_graph6(line))
+            except CodecError as exc:
+                raise CodecError(f"{path}:{number}: {exc}") from None
     if not graphs:
         raise CodecError(f"{path} holds no graph6 line")
     return graphs

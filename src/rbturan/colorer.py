@@ -41,7 +41,6 @@ class SearchOutcome:
     status: str  # SAT | UNSAT | BUDGET_EXCEEDED
     certificate: ColoredGraph | None
     nodes: int
-    max_colors_used: int
 
     @property
     def sat(self) -> bool:
@@ -229,9 +228,8 @@ def find_coloring(
     searcher = _Searcher(g, k, max_colors)
     colors = next(searcher.solutions(node_budget), None)
     if colors is None:
-        return SearchOutcome(searcher.status, None, searcher.nodes, 0)
-    cert = searcher.positions_to_colored(colors)
-    return SearchOutcome(SAT, cert, searcher.nodes, cert.colors_used())
+        return SearchOutcome(searcher.status, None, searcher.nodes)
+    return SearchOutcome(SAT, searcher.positions_to_colored(colors), searcher.nodes)
 
 
 def iter_coloring_classes(g: Graph, k: int) -> list[ColoredGraph]:

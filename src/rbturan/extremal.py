@@ -70,17 +70,17 @@ def enumerate_candidates(
 
     Filters run in cost order: the degree-based reduction filter first,
     then the Euler bound inside the full planarity test.  Built-in
-    generation covers n <= 8; larger n must come from a graph6 file,
-    which is trusted to be complete and isomorph-free (recorded in the
-    report's source).
+    generation covers n <= BUILTIN_MAX_N; larger n must come from a
+    graph6 file, which is trusted to be complete and isomorph-free
+    (recorded in the report's source).
     """
     if graph6_path is not None:
         graphs = read_graph6_file(graph6_path)
         for g in graphs:
             if g.n != n or len(g.edges) != m:
                 raise GraphError(
-                    f"graph6 candidate with n={g.n}, m={len(g.edges)}; "
-                    f"expected ({n},{m})"
+                    f"{graph6_path}: graph6 candidate {encode_graph6(g)} has "
+                    f"n={g.n}, m={len(g.edges)}; expected ({n},{m})"
                 )
     else:
         if n > BUILTIN_MAX_N:
@@ -284,6 +284,10 @@ def compute_extremal(
     all higher levels because SAT survives edge deletion.  When the value
     is floor(3n/2) the refutation runs the reduction-filtered level
     (n', floor(3n'/2)+1) for every n' in 4..n (see module docstring).
+
+    A graph6 file feeds only the top level (n' = n) of a claimed plan and
+    every other level is built-in up to BUILTIN_MAX_N; a file no level
+    reads, or a level beyond the cap, is an error before any level runs.
     """
     if n < 1:
         raise GraphError(f"need n >= 1, got n={n}")
@@ -293,18 +297,9 @@ def compute_extremal(
     claim = _claimed_achiever(n, k)
     if claim is None:
         # No known construction: descend the levels from the planar cap.
-        # (graph6 files describe a single level, so descent is built-in only.)
-        if graph6_path is not None:
-            raise GraphError(
-                f"no known construction for n={n}, k={k}, and level descent is "
-                f"built-in only: it cannot read --from-graph6 {graph6_path}"
-            )
-        if n > BUILTIN_MAX_N:
-            raise GraphError(
-                f"no known construction for n={n}, k={k}, and level descent is "
-                f"built-in only, which caps at n <= {BUILTIN_MAX_N}"
-            )
         plan = [(n, m, False) for m in range(cap, -1, -1)]
+        what = f"no known construction for n={n}, k={k}, so level descent"
+        fed, unread = None, "level descent is built-in only"
     else:
         achiever, label = claim
         value = len(achiever.edges)
@@ -318,25 +313,28 @@ def compute_extremal(
             plan = [(n2, (3 * n2) // 2 + 1, True) for n2 in range(4, n + 1)]
         else:
             plan = [(n, value + 1, False)]
-        if not plan and graph6_path is not None:
-            raise GraphError(
-                f"the value {value} at n={n}, k={k} is the planar edge maximum, so no "
-                f"level is refuted and --from-graph6 {graph6_path} would not be read"
-            )
-    # the graph6 file feeds the top level only; every other level is built-in
-    beyond = [n2 for n2, _, _ in plan if n2 > BUILTIN_MAX_N and (n2 < n or graph6_path is None)]
-    if beyond == [n]:  # only the top level, which a file can feed
-        raise GraphError(
-            f"refuting the value {value} at n={n}, k={k} needs the level "
-            f"({n},{plan[-1][1]}), beyond the built-in cap n <= {BUILTIN_MAX_N}; "
-            f"supply it with --from-graph6"
+        what = f"refuting the value {value} at n={n}, k={k}"
+        fed, unread = n, (
+            f"the value {value} at n={n}, k={k} is the planar edge maximum, "
+            "so no level is refuted"
         )
+    # the file feeds the level n' = fed (the top level of a claimed plan,
+    # none of a descent); every other level is built-in
+    source = {n2: graph6_path if n2 == fed else None for n2, _, _ in plan}
+    if graph6_path is not None and fed not in source:
+        raise GraphError(f"{unread}, and --from-graph6 {graph6_path} would not be read")
+    beyond = [n2 for n2, path in source.items() if n2 > BUILTIN_MAX_N and path is None]
     if beyond:
         span = f"{beyond[0]}..{beyond[-1]}" if len(beyond) > 1 else f"{beyond[0]}"
+        if fed is None:
+            hint = unread
+        elif beyond == [fed]:
+            hint = f"supply the level ({n},{plan[-1][1]}) with --from-graph6"
+        else:
+            hint = f"--from-graph6 feeds only the top level n'={n}"
         raise GraphError(
-            f"refuting the value {value} at n={n}, k={k} needs built-in generation "
-            f"for n'={span}, beyond the cap n <= {BUILTIN_MAX_N}; "
-            f"--from-graph6 feeds only the top level n'={n}"
+            f"{what} needs built-in generation for n'={span}, "
+            f"beyond the cap n <= {BUILTIN_MAX_N}; {hint}"
         )
     levels: list[LevelReport] = []
     for n2, m2, reduced in plan:
@@ -347,7 +345,7 @@ def compute_extremal(
             reduced=reduced,
             jobs=jobs,
             node_budget=node_budget,
-            graph6_path=graph6_path if n2 == n else None,
+            graph6_path=source[n2],
         )
         if claim is None:
             # descent: a level without a verdict leaves no value, and the

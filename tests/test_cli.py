@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from rbturan import __version__
+from rbturan import __version__, cli, extremal
 from rbturan.cli import run
 from rbturan.codec import encode_colored, encode_graph6
 from rbturan.constructions import g5, gn
 from rbturan.generation import LevelLadder
-from rbturan.graphs import build_graph
+from rbturan.graphs import ColoredGraph, build_graph
 
 
 def invoke(capsys, *argv):
@@ -171,6 +171,25 @@ def test_construct_disjoint_copies(capsys):
     assert parse(out)["validation"]["edge_count"] == 60
 
 
+def test_construct_disjoint_copies_validates_the_edge_count(capsys, monkeypatch):
+    # the expected count is copies x the base family's count, not the union's own
+    real_make = cli.make
+
+    def make_minus_one_edge(*args):
+        cg = real_make(*args)
+        return ColoredGraph(build_graph(cg.n, cg.edges[:-1]), cg.colors[:-1])
+
+    monkeypatch.setattr(cli, "make", make_minus_one_edge)
+    code, out, err = invoke(
+        capsys,
+        "construct", "disjoint-copies", "--base", "octahedron", "--copies", "3",
+        "--validate",
+    )
+    assert code == 1 and "FAIL" in err
+    validation = parse(out)["validation"]
+    assert validation["edge_count"] == 35 and validation["expected_edges"] == 36
+
+
 def test_refute_pass(capsys):
     code, out, err = invoke(capsys, "refute", "-n", "6", "-m", "10", "-k", "5")
     assert code == 0
@@ -287,6 +306,60 @@ def test_single_level_beyond_builtin_cap_asks_for_that_level(capsys, tmp_path):
     code, out, _ = invoke(capsys, "extremal", "-n", "9", "-k", "3", "--from-graph6", str(path))
     assert code == 0
     assert parse(out)["refutation"]["status"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["-n", "70", "-k", "5"],
+            "refuting the value 105 at n=70, k=5 needs built-in generation for n'=9..70, "
+            "beyond the cap n <= 8; --from-graph6 feeds only the top level n'=70",
+        ),
+        (
+            ["-n", "9", "-k", "4"],
+            "no known construction for n=9, k=4, so level descent needs built-in "
+            "generation for n'=9, beyond the cap n <= 8; level descent is built-in only",
+        ),
+        (
+            ["-n", "40", "-k", "3"],
+            "refuting the value 20 at n=40, k=3 needs built-in generation for n'=40, "
+            "beyond the cap n <= 8; supply the level (40,21) with --from-graph6",
+        ),
+        (
+            ["-n", "9", "-k", "3"],
+            "refuting the value 4 at n=9, k=3 needs built-in generation for n'=9, "
+            "beyond the cap n <= 8; supply the level (9,5) with --from-graph6",
+        ),
+        (
+            ["-n", "6", "-k", "4", "--from-graph6", "F"],
+            "level descent is built-in only, and --from-graph6 F would not be read",
+        ),
+        (
+            ["-n", "6", "-k", "6", "--from-graph6", "F"],
+            "the value 12 at n=6, k=6 is the planar edge maximum, so no level is "
+            "refuted, and --from-graph6 F would not be read",
+        ),
+        (
+            ["-n", "10", "-k", "5", "--from-graph6", "F"],
+            "refuting the value 15 at n=10, k=5 needs built-in generation for n'=9, "
+            "beyond the cap n <= 8; --from-graph6 feeds only the top level n'=10",
+        ),
+    ],
+    ids=[
+        "chain-70", "descent-9", "level-40", "level-9",
+        "descent-file", "planar-max-file", "chain-10-file",
+    ],
+)
+def test_candidate_source_rule_refuses_before_any_level(capsys, monkeypatch, argv, message):
+    # one rule: a file feeds only the top level of a claimed plan, every other
+    # level is built-in up to the cap; both checks run before any level does
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(extremal, "run_level", no_level)
+    code, out, err = invoke(capsys, "extremal", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_refute_budget_exits_3(capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -81,6 +82,18 @@ def test_graph6_file_without_graphs_is_rejected(tmp_path, text):
     path = tmp_path / "empty.g6"
     path.write_text(text)
     with pytest.raises(CodecError, match="holds no graph6 line"):
+        read_graph6_file(str(path))
+
+
+def test_graph6_file_error_names_file_and_line(tmp_path):
+    # line numbers are 1-based and count blank lines
+    path = tmp_path / "bad.g6"
+    where = re.escape(str(path))
+    path.write_text("C~\nD?\n")
+    with pytest.raises(CodecError, match=rf"^{where}:2: graph6 body has 1 characters"):
+        read_graph6_file(str(path))
+    path.write_text("C~\n\nD?\n")
+    with pytest.raises(CodecError, match=rf"^{where}:3: "):
         read_graph6_file(str(path))
 
 

@@ -31,7 +31,7 @@ PRISM6 = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3),
 def test_k4_sat_with_three_colors():
     out = find_coloring(K4, 5, 6)
     assert out.sat
-    assert out.max_colors_used == 3
+    assert out.certificate.colors_used() == 3
     assert is_proper(out.certificate)
     assert find_rainbow_path(out.certificate, 5) is None
 

@@ -285,8 +285,10 @@ def test_graph6_source_roundtrip(tmp_path):
 def test_graph6_source_rejects_mismatched_level(tmp_path):
     path = tmp_path / "wrong.g6"
     path.write_text(encode_graph6(build_graph(5, [(0, 1)])) + "\n")
-    with pytest.raises(GraphError, match="expected"):
+    with pytest.raises(GraphError, match="expected") as exc:
         enumerate_candidates(6, 10, graph6_path=str(path))
+    # the message names the file and the bad candidate's graph6 text
+    assert str(path) in str(exc.value) and "D_?" in str(exc.value)
 
 
 @pytest.mark.parametrize("n,k,want", [(5, 5, 7), (6, 5, 9), (5, 3, 2), (4, 4, 6)])
