@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 One binary, subcommand style: detect, color, lemma, construct, extremal,
-refute, validate.  Machine-readable JSON goes to standard output (byte
-identical across runs and worker counts), a human summary to standard
-error.  Exit status encodes the verdict: 0 pass / found as expected,
-1 property fails or mismatch, 2 usage error, 3 search budget exceeded.
+refute, validate.  A subcommand returns its report and writes nothing;
+``run`` writes it once: one JSON line to standard output (byte identical
+across runs and worker counts), a human summary to standard error.  Exit
+status encodes the verdict: 0 pass / found as expected, 1 property fails
+or mismatch, 2 usage error, 3 search budget exceeded.
 
 Options can be overridden through RBTURAN_-prefixed environment
 variables (RBTURAN_JOBS, RBTURAN_BUDGET_NODES).
@@ -62,18 +63,8 @@ def _int_at_least(low: int, env: str):
     return parse
 
 
-def _emit(doc: dict[str, Any], summary: str) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-    sys.stderr.write(summary + "\n")
-
-
-def _report(subcommand: str, config: dict[str, Any], body: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "tool": {"name": "rbturan", "version": __version__},
-        "subcommand": subcommand,
-        "config": config,
-        **body,
-    }
+# what a subcommand returns: config, report body, stderr summary, exit code
+Report = tuple[dict[str, Any], dict[str, Any], str, int]
 
 
 def _read_text(path: str) -> str:
@@ -84,27 +75,21 @@ def _read_text(path: str) -> str:
         raise CodecError(f"{path} is not UTF-8 text") from None
 
 
-def _cmd_detect(args) -> int:
+def _cmd_detect(args) -> Report:
     cg = decode_colored(_read_text(args.input))
-    proper = is_proper(cg)
-    witness = find_rainbow_path(cg, args.k) if proper else None
-    body: dict[str, Any] = {"proper": proper}
-    if proper:
-        body["rainbow_free"] = witness is None
-        if witness is not None:
-            body["witness"] = {
-                "vertices": list(witness.vertices),
-                "colors": list(witness.colors),
-            }
-    doc = _report("detect", {"k": args.k, "input": args.input}, body)
-    if not proper:
-        _emit(doc, "input coloring is not proper")
-        return EXIT_MISMATCH
+    config = {"k": args.k, "input": args.input}
+    if not is_proper(cg):
+        return config, {"proper": False}, "input coloring is not proper", EXIT_MISMATCH
+    witness = find_rainbow_path(cg, args.k)
     if witness is None:
-        _emit(doc, f"no rainbow P{args.k}")
-        return EXIT_OK
-    _emit(doc, f"rainbow P{args.k} found: {'-'.join(map(str, witness.vertices))}")
-    return EXIT_MISMATCH
+        return config, {"proper": True, "rainbow_free": True}, f"no rainbow P{args.k}", EXIT_OK
+    body = {
+        "proper": True,
+        "rainbow_free": False,
+        "witness": {"vertices": list(witness.vertices), "colors": list(witness.colors)},
+    }
+    path = "-".join(map(str, witness.vertices))
+    return config, body, f"rainbow P{args.k} found: {path}", EXIT_MISMATCH
 
 
 def _load_graph(args):
@@ -115,7 +100,8 @@ def _load_graph(args):
     text = _read_text(args.input).strip()
     if not text:
         raise CodecError(f"{args.input} is empty")
-    if text.startswith("{"):
+    # "{" is also the graph6 size byte of n=60, but no graph6 line holds '"'
+    if text.startswith("{") and '"' in text:
         return decode_colored(text).graph
     graphs = read_graph6_file(args.input)
     if len(graphs) > 1:
@@ -125,7 +111,7 @@ def _load_graph(args):
     return graphs[0]
 
 
-def _cmd_color(args) -> int:
+def _cmd_color(args) -> Report:
     g = _load_graph(args)
     t0 = time.monotonic()
     out = find_coloring(g, args.k, args.max_colors, node_budget=args.budget_nodes)
@@ -146,9 +132,8 @@ def _cmd_color(args) -> int:
                 "stats": {"nodes": out.nodes, "colors_used": out.certificate.colors_used()},
             },
         )
-    doc = _report("color", config, body)
-    _emit(doc, f"{out.status} ({out.nodes} nodes, {secs:.2f}s)")
-    return STATUS_EXIT.get(out.status, EXIT_MISMATCH)
+    summary = f"{out.status} ({out.nodes} nodes, {secs:.2f}s)"
+    return config, body, summary, STATUS_EXIT.get(out.status, EXIT_MISMATCH)
 
 
 def _scheme_doc(sc) -> dict[str, Any]:
@@ -158,7 +143,7 @@ def _scheme_doc(sc) -> dict[str, Any]:
     }
 
 
-def _cmd_lemma(args) -> int:
+def _cmd_lemma(args) -> Report:
     ids = LEMMA_IDS if args.lemma_id == "all" else (args.lemma_id,)
     reports = [verify_lemma(lid, args.k) for lid in ids]
     body = {
@@ -176,16 +161,15 @@ def _cmd_lemma(args) -> int:
             for rep in reports
         ]
     }
-    doc = _report("lemma", {"lemma": args.lemma_id, "k": args.k}, body)
-    lines = ", ".join(
+    summary = ", ".join(
         f"{rep.lemma_id}: {'PASS' if rep.passed else 'FAIL'} ({rep.class_count} classes)"
         for rep in reports
     )
-    _emit(doc, lines)
-    return EXIT_OK if all(rep.passed for rep in reports) else EXIT_MISMATCH
+    code = EXIT_OK if all(rep.passed for rep in reports) else EXIT_MISMATCH
+    return {"lemma": args.lemma_id, "k": args.k}, body, summary, code
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> Report:
     cg = make(args.family, args.n, args.copies, args.base)
     # make() accepts a base for disjoint-copies only, and requires it there
     row = FAMILY_TABLE[args.base or args.family]
@@ -199,24 +183,18 @@ def _cmd_construct(args) -> int:
     }
     body: dict[str, Any] = {"graph": colored_to_doc(cg, meta={"family": args.family})}
     if not args.validate:
-        doc = _report("construct", config, body)
-        _emit(doc, f"{args.family}: n={cg.n}, {len(cg.edges)} edges")
-        return EXIT_OK
+        return config, body, f"{args.family}: n={cg.n}, {len(cg.edges)} edges", EXIT_OK
     expected = args.expect_edges
     if expected is None:  # copies is 1 outside disjoint-copies
         expected = args.copies * row.edges(cg.n // args.copies)
     rep = validate_construction(cg, k, expected)
     body["validation"] = rep.to_doc()
-    doc = _report("construct", config, body)
-    _emit(
-        doc,
-        f"{args.family}: n={cg.n}, {rep.edge_count} edges, "
-        f"{'pass' if rep.passed else 'FAIL'}",
-    )
-    return EXIT_OK if rep.passed else EXIT_MISMATCH
+    verdict = "pass" if rep.passed else "FAIL"
+    summary = f"{args.family}: n={cg.n}, {rep.edge_count} edges, {verdict}"
+    return config, body, summary, EXIT_OK if rep.passed else EXIT_MISMATCH
 
 
-def _cmd_extremal(args) -> int:
+def _cmd_extremal(args) -> Report:
     t0 = time.monotonic()
     rep = compute_extremal(
         args.n,
@@ -234,15 +212,14 @@ def _cmd_extremal(args) -> int:
         "from_graph6": args.from_graph6,
         "expect": args.expect,
     }
-    doc = _report("extremal", config, rep.to_doc())
-    _emit(doc, f"extremal(n={args.n}, k={args.k}) = {rep.value} [{rep.status}] in {secs:.1f}s")
+    summary = f"extremal(n={args.n}, k={args.k}) = {rep.value} [{rep.status}] in {secs:.1f}s"
     code = STATUS_EXIT.get(rep.status, EXIT_MISMATCH)
     if code == EXIT_OK and args.expect is not None and rep.value != args.expect:
-        return EXIT_MISMATCH
-    return code
+        code = EXIT_MISMATCH
+    return config, rep.to_doc(), summary, code
 
 
-def _cmd_refute(args) -> int:
+def _cmd_refute(args) -> Report:
     t0 = time.monotonic()
     rep = run_level(
         args.n,
@@ -264,25 +241,21 @@ def _cmd_refute(args) -> int:
         "from_graph6": args.from_graph6,
         "filters": list(rep.filters),
     }
-    doc = _report("refute", config, rep.to_doc())
-    _emit(
-        doc,
+    summary = (
         f"level ({args.n},{args.m}) k={args.k}: {rep.status} "
-        f"({rep.counts['unsat']} UNSAT of {rep.counts['planar']}) in {secs:.1f}s",
+        f"({rep.counts['unsat']} UNSAT of {rep.counts['planar']}) in {secs:.1f}s"
     )
-    return STATUS_EXIT.get(rep.status, EXIT_MISMATCH)
+    return config, rep.to_doc(), summary, STATUS_EXIT.get(rep.status, EXIT_MISMATCH)
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> Report:
     cg = decode_colored(_read_text(args.input))
     expected = args.expect_edges if args.expect_edges is not None else len(cg.edges)
     rep = validate_construction(cg, args.k, expected)
     config = {"input": args.input, "k": args.k, "expect_edges": args.expect_edges}
     body = rep.to_doc()
     del body["k"]  # validate reports k in its config only
-    doc = _report("validate", config, body)
-    _emit(doc, "pass" if rep.passed else "FAIL")
-    return EXIT_OK if rep.passed else EXIT_MISMATCH
+    return config, body, "pass" if rep.passed else "FAIL", EXIT_OK if rep.passed else EXIT_MISMATCH
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,7 +341,12 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config, body, summary, code = args.func(args)
+        tool = {"name": "rbturan", "version": __version__}
+        doc = {"tool": tool, "subcommand": args.subcommand, "config": config, **body}
+        sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stderr.write(summary + "\n")
+        return code
     except (BudgetExhausted, GraphError, CodecError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET if isinstance(exc, BudgetExhausted) else EXIT_USAGE

@@ -16,10 +16,10 @@ graph by one it is a subdivision of, and subdivision neither creates nor
 destroys a subdivided K5 or K3,3 (Kuratowski).  A path u-v-w beside an
 existing edge u-w can be drawn alongside that edge.  On the kernel the
 Euler bound is applied again (reason "euler-bound" either way).  A kernel
-with at most 8 edges is planar because every nonplanar graph contains a
-subdivided K3,3 (9 edges) or K5 (10 edges).  A kernel with at most 5
-vertices that passed the Euler bound is planar because K5, which the bound
-rejects, is the only nonplanar graph on 5 vertices.
+with at most 5 vertices that passed the Euler bound is planar because K5,
+which the bound rejects, is the only nonplanar graph on 5 vertices.  That
+covers every kernel with at most 8 edges: each kernel vertex has degree 0
+or at least 3, so 3 kn <= 2 km <= 16 and kn <= 5.
 
 Any other kernel is drawn by path addition (Demoucron, Malgrange and
 Pertuiset, 1964).  One cycle is drawn as two faces.  A fragment is an
@@ -75,7 +75,7 @@ def _verdict(adj: list[int]) -> PlanarityVerdict:
     km = sum(a.bit_count() for a in adj) // 2
     if km > planar_edge_cap(kn):
         return PlanarityVerdict(False, "euler-bound")
-    return PlanarityVerdict(km <= 8 or kn <= 5 or _draws(adj), "combinatorial-test")
+    return PlanarityVerdict(kn <= 5 or _draws(adj), "combinatorial-test")
 
 
 def _bits(x: int) -> Iterator[int]:

@@ -13,8 +13,18 @@ from rbturan.graphs import ColoredGraph, build_graph
 
 
 def invoke(capsys, *argv):
+    """Run the CLI and check its stdout contract: a usage error writes
+    nothing, and any other output is one JSON line naming the tool and the
+    subcommand."""
     code = run(list(argv))
     captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+    if captured.out:
+        assert captured.out.endswith("\n") and captured.out.count("\n") == 1
+        doc = json.loads(captured.out)
+        assert doc["tool"] == {"name": "rbturan", "version": __version__}
+        assert doc["subcommand"] == argv[0]
     return code, captured.out, captured.err
 
 
@@ -512,3 +522,15 @@ def test_graph6_candidate_file_without_graphs_is_usage_error(capsys, tmp_path, t
     code, out, err = invoke(capsys, *argv, "--from-graph6", str(path))
     assert code == 2 and out == ""
     assert "holds no graph6 line" in err
+
+
+def test_color_input_reads_a_60_vertex_graph6_file_as_graph6(capsys, tmp_path):
+    # "{" is the graph6 size byte of n=60, so the text starts like JSON
+    text = encode_graph6(build_graph(60, [(i, i + 1) for i in range(59)]))
+    assert text.startswith("{")
+    path = tmp_path / "p60.g6"
+    path.write_text(text + "\n")
+    code, out, err = invoke(capsys, "color", "-k", "3", "--input", str(path))
+    assert code == 1, err
+    assert invoke(capsys, "color", "-k", "3", "--graph6", text)[:2] == (1, out)
+    assert parse(out)["status"] == "UNSAT"

@@ -157,11 +157,7 @@ def test_agrees_with_networkx_on_every_class_on_7_vertices():
 
 
 def _kernel_size(g: Graph) -> tuple[int, int]:
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    _kernel(adj)
+    adj = _kernel(g.masks())
     return sum(1 for a in adj if a), sum(a.bit_count() for a in adj) // 2
 
 
@@ -199,6 +195,21 @@ def test_subdivided_kuratowski_graphs_with_pendant_trees_stay_nonplanar():
         assert not is_planar(k33).planar, seed
         assert _kernel_size(k33) == (6, 9)
         assert not _networkx_planar(k5) and not _networkx_planar(k33)
+
+
+def test_kernel_vertices_have_degree_0_or_at_least_3():
+    # the verdict relies on it: 3 kn <= 2 km, so a kernel with at most 8
+    # edges has at most 5 vertices
+    graphs = []
+    for n in range(8):
+        ladder = LevelLadder(n)
+        for m in range(n * (n - 1) // 2 + 1):
+            graphs += ladder.level(m)
+    for seed in range(20):
+        graphs += [_dress(K5_EDGES, 5, seed), _dress(K33_EDGES, 6, seed)]
+    for g in graphs:
+        degrees = [a.bit_count() for a in _kernel(g.masks())]
+        assert all(d == 0 or d >= 3 for d in degrees), g.edges
 
 
 def test_k5_with_a_vertex_on_both_ends_of_an_edge_stays_nonplanar():
