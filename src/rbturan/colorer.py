@@ -9,10 +9,19 @@ per-vertex used-color bitmasks; the rainbow constraint is enforced by
 checking, after each assignment, every k-vertex path whose edges just
 became fully colored.  Those paths form the bucket of the assigned
 position j: the edge at j joined with two vertex-disjoint arms that use
-only edges at earlier positions, stored as the positions of the arm
-edges alone, since the check already knows the color at j.  A bucket is
-built the first time the search reaches its position and cached, so
+only edges at earlier positions.  A bucket is stored bit-sliced, one
+column per earlier position p whose bit i is set when path i uses the
+edge at p, and is built the first time the search reaches j, so
 positions the search never reaches cost nothing.
+
+When the search enters position j it folds the bucket's columns by the
+colors now at their positions: once[c] holds the paths whose arms use
+color c, twice the paths whose arms repeat a color.  Color c then closes
+a rainbow path exactly when (all paths & ~twice) & ~once[c] is nonzero,
+two integer operations per tried color whatever the bucket's size, so
+the order of the paths in a bucket never matters and none is ever moved.
+The arms use only positions below j, so the fold stays valid while the
+search tries further colors at j after backtracking.
 
 One engine, `_Searcher.solutions`, yields the canonical solutions in
 search order.  It runs in first mode (`find_coloring` takes the first
@@ -36,6 +45,10 @@ class OracleSizeError(GraphError):
     """Input too large for the naive enumeration oracle."""
 
 
+# (mask of all paths, column of the paths using each earlier position)
+Bucket = tuple[int, list[int]]
+
+
 @dataclass(frozen=True)
 class SearchOutcome:
     status: str  # SAT | UNSAT | BUDGET_EXCEEDED
@@ -57,8 +70,8 @@ def _order_positions(g: Graph) -> list[int]:
 
 
 class _Searcher:
-    """The search over one graph: static edge order, lazy path buckets and
-    the engine that yields canonical solutions."""
+    """The search over one graph: static edge order, lazy bit-sliced path
+    buckets and the engine that yields canonical solutions."""
 
     def __init__(self, g: Graph, k: int, max_colors: int | None):
         if k < 3:
@@ -80,29 +93,35 @@ class _Searcher:
             self.nbrs[v].append((j, u))
         # Paths cannot be rainbow at all when they carry more edges than
         # there are colors available; every bucket is empty then.
-        self._buckets: list[list[tuple[int, ...]] | None] = (
-            [None] * m if k - 1 <= self.max_colors else [[]] * m
+        self._buckets: list[Bucket | None] = (
+            [None] * m if k - 1 <= self.max_colors else [(0, [0] * j) for j in range(m)]
         )
         self.nodes = 0
 
-    def bucket(self, j: int) -> list[tuple[int, ...]]:
+    def bucket(self, j: int) -> Bucket:
         """The k-vertex paths whose last-colored edge is the one at position
-        j, each as the tuple of positions of its other k-2 edges; built the
-        first time the search reaches j, then cached.
+        j, bit-sliced: the mask of all paths and, per position p below j,
+        the column of the paths that use the edge at p.  Path i is bit i;
+        each path has k-2 edges besides the one at j.  Built the first time
+        the search reaches j, then cached.
 
         Each path is the edge (a, b) at j with a left arm from a and a right
         arm from b, vertex-disjoint, k-2 edges in all, every edge at a
         position below j.  Fixing which end of the edge is a makes each
-        path come out exactly once."""
-        paths = self._buckets[j]
-        if paths is not None:
-            return paths
-        paths = []
-        self._buckets[j] = paths
+        path come out exactly once.  The walk numbers the paths in the
+        order it completes them, so the paths that extend one partial arm
+        are a run of consecutive bits, set in one operation.  The search
+        folds the columns by the colors below j each time it enters j (see
+        the module docstring)."""
+        built = self._buckets[j]
+        if built is not None:
+            return built
         a, b = self.endpoints[j]
         nbrs = self.nbrs
+        cols = [0] * j
 
-        def right(v: int, seen: int, pos: tuple[int, ...], need: int) -> None:
+        # each walk returns the number of paths completed so far
+        def right(v: int, seen: int, need: int, count: int) -> int:
             for p, w in nbrs[v]:
                 if p >= j:
                     break
@@ -110,12 +129,17 @@ class _Searcher:
                 if seen & bit:
                     continue
                 if need == 1:
-                    paths.append(pos + (p,))
+                    cols[p] |= 1 << count
+                    count += 1
                 else:
-                    right(w, seen | bit, pos + (p,), need - 1)
+                    start = count
+                    count = right(w, seen | bit, need - 1, count)
+                    if count > start:
+                        cols[p] |= ((1 << (count - start)) - 1) << start
+            return count
 
-        def left(v: int, seen: int, pos: tuple[int, ...], need: int) -> None:
-            right(b, seen, pos, need)
+        def left(v: int, seen: int, need: int, count: int) -> int:
+            count = right(b, seen, need, count)
             for p, w in nbrs[v]:
                 if p >= j:
                     break
@@ -123,12 +147,19 @@ class _Searcher:
                 if seen & bit:
                     continue
                 if need == 1:
-                    paths.append((p,) + pos)
+                    cols[p] |= 1 << count
+                    count += 1
                 else:
-                    left(w, seen | bit, (p,) + pos, need - 1)
+                    start = count
+                    count = left(w, seen | bit, need - 1, count)
+                    if count > start:
+                        cols[p] |= ((1 << (count - start)) - 1) << start
+            return count
 
-        left(a, (1 << a) | (1 << b), (), self.k - 2)
-        return paths
+        count = left(a, (1 << a) | (1 << b), self.k - 2, 0)
+        built = ((1 << count) - 1, cols)
+        self._buckets[j] = built
+        return built
 
     def positions_to_colored(self, colors_by_pos: list[int]) -> ColoredGraph:
         by_edge = [0] * self.m
@@ -152,9 +183,13 @@ class _Searcher:
         nodes = 0
 
         # Iterative depth-first search over positions; frame state is the
-        # next candidate color per position.
+        # next candidate color per position and the bucket fold made on
+        # entering it: the paths with no repeated arm color, and per color
+        # the paths whose arms use it.
         next_color = [1] * (m + 1)
         max_used = [0] * (m + 1)
+        live_at = [0] * m
+        once_at: list[dict[int, int]] = [{}] * m
         j = 0
         while True:
             if j == m:
@@ -163,7 +198,21 @@ class _Searcher:
             else:
                 u, v = endpoints[j]
                 forbid = used[u] | used[v]
-                paths = bucket(j)
+                if next_color[j] == 1:
+                    every, cols = bucket(j)
+                    once: dict[int, int] = {}
+                    twice = 0
+                    if every:
+                        for c, col in zip(colors, cols):
+                            if col:
+                                seen = once.get(c, 0)
+                                twice |= seen & col
+                                once[c] = seen | col
+                    live_at[j] = live = every & ~twice
+                    once_at[j] = once
+                else:
+                    live = live_at[j]
+                    once = once_at[j]
                 limit = max_colors if max_used[j] >= max_colors else max_used[j] + 1
                 c = next_color[j]
                 advanced = False
@@ -174,19 +223,9 @@ class _Searcher:
                         if node_budget is not None and nodes > node_budget:
                             self.nodes, self.status = nodes, BUDGET_EXCEEDED
                             return
-                        colors[j] = c
-                        rainbow = False
-                        for path in paths:
-                            acc = bit
-                            for p in path:
-                                pb = 1 << colors[p]
-                                if acc & pb:
-                                    break
-                                acc |= pb
-                            else:
-                                rainbow = True
-                                break
-                        if not rainbow:
+                        # a live path that avoids c would turn rainbow
+                        if not live & ~once.get(c, 0):
+                            colors[j] = c
                             used[u] = used[u] | bit
                             used[v] = used[v] | bit
                             next_color[j] = c + 1
@@ -195,11 +234,6 @@ class _Searcher:
                             max_used[j] = max_used[j - 1] if c <= max_used[j - 1] else c
                             advanced = True
                             break
-                        if paths[0] is not path:
-                            # the witness moves to the front of the bucket,
-                            # so the next color tried here meets it first
-                            i = paths.index(path)
-                            paths[0], paths[i] = path, paths[0]
                     c += 1
                 if advanced:
                     continue

@@ -183,6 +183,19 @@ def _brute_force_paths(g, k):
     return paths
 
 
+def _bucket_paths(searcher, j):
+    """The paths of the bit-sliced bucket at position j, each as the list
+    of positions whose column holds its bit."""
+    every, cols = searcher.bucket(j)
+    assert len(cols) == j
+    assert every & (every + 1) == 0  # paths are the bits 0 .. count-1
+    assert all(col & ~every == 0 for col in cols)
+    return [
+        [p for p, col in enumerate(cols) if col >> i & 1]
+        for i in range(every.bit_length())
+    ]
+
+
 def test_buckets_hold_every_path_once_at_its_largest_position():
     ladder = LevelLadder(6)
     for m in range(16):
@@ -191,7 +204,7 @@ def test_buckets_hold_every_path_once_at_its_largest_position():
                 searcher = _Searcher(g, k, None)
                 seen = Counter()
                 for j in range(m):
-                    for path in searcher.bucket(j):
+                    for path in _bucket_paths(searcher, j):
                         assert len(path) == k - 2 and max(path) < j, (g, k, j, path)
                         edges = [searcher.endpoints[p] for p in path]
                         seen[frozenset(edges + [searcher.endpoints[j]])] += 1
@@ -201,13 +214,22 @@ def test_buckets_hold_every_path_once_at_its_largest_position():
 
 def test_buckets_empty_when_paths_outnumber_colors():
     searcher = _Searcher(PRISM6, 5, 3)
-    assert all(searcher.bucket(j) == [] for j in range(len(PRISM6.edges)))
+    for j in range(len(PRISM6.edges)):
+        every, cols = searcher.bucket(j)
+        assert every == 0 and not any(cols)
+        assert _bucket_paths(searcher, j) == []
 
 
 def test_double_wheel_k8_search_tree_is_frozen():
     # double_wheel(18) at k=8 is SAT; its node count pins the static edge
     # order, the symmetry breaking and the bucket contents together
-    out = find_coloring(double_wheel(18).graph, 8)
+    g = double_wheel(18).graph
+    out = find_coloring(g, 8)
     assert out.sat and out.nodes == 12288
     assert is_proper(out.certificate)
     assert find_rainbow_path(out.certificate, 8) is None
+    # the budget edge: one node short stops the search, the exact count
+    # reaches the same certificate
+    short = find_coloring(g, 8, node_budget=12287)
+    assert short.status == BUDGET_EXCEEDED and short.certificate is None
+    assert find_coloring(g, 8, node_budget=12288) == out

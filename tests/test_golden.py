@@ -28,6 +28,7 @@ from rbturan.constructions import double_wheel
 from rbturan.generation import LevelLadder
 
 CERT = "gn12.json"
+WHEEL = "double_wheel_20.json"
 LEVEL = "level_6_10.g6"
 ONE_GRAPH = "c.g6"
 
@@ -71,6 +72,11 @@ COMMANDS: dict[str, list[str]] = {
         "--validate",
     ],
     "detect-gn12": ["detect", "-k", "5", "--input", CERT],
+    # rainbow paths exist: 3 and 6 edges meet at a middle edge, 4 at a
+    # middle vertex; the digests pin the least witness
+    "detect-double-wheel-20-k4": ["detect", "-k", "4", "--input", WHEEL],
+    "detect-double-wheel-20-k5": ["detect", "-k", "5", "--input", WHEEL],
+    "detect-double-wheel-20-k7": ["detect", "-k", "7", "--input", WHEEL],
     "validate-gn12": ["validate", "--input", CERT, "-k", "5", "--expect-edges", "18"],
 }
 
@@ -88,6 +94,9 @@ GOLDEN: dict[str, tuple[int, str]] = {
     "construct-k2-path": (0, "7a4fd16a2f8d76ce2632048490e3cf27ad9dcabef978d8ef87e4f89b3cf4dd5f"),
     "construct-k4-blocks": (0, "701a4be28cf7f20b8276300fa1b67f085ef10d1c9952723d8ba067a796e9acc3"),
     "construct-octahedron": (0, "2c4da4c54d811d82f95dc7c5ebd96ec5bc64c437d5a07eb15616d443ba94f122"),
+    "detect-double-wheel-20-k4": (1, "9deb9475e46f1bf1a0d82f85098ac39a9e1d3cc89847055f76eb2353d5408315"),
+    "detect-double-wheel-20-k5": (1, "daa1a4adc4ca28be5a6476f4cd9686fc6528e33395c0d4cc5195cbdfce51386a"),
+    "detect-double-wheel-20-k7": (1, "99f75b46cf7e7aa54430bb8a0a139ea9fcc21ed852b17c271c2dc3b7e2c1b1bd"),
     "detect-gn12": (0, "4ab15061d0b58f9bf8bf7b7c96a3e7f890843338a00296a3d6f69762172ca8a9"),
     "extremal-10-8-double-wheel": (0, "ff7ffe1c48714044a03690d9696a6167d10abcec115ea9fed81d2a9b00f09587"),
     "extremal-12-7-icosahedron": (0, "af9f9da93887e684aac9f0ca7353fcc29599b0c0452623db489191395556b80d"),
@@ -118,13 +127,15 @@ def _run(argv: list[str]) -> tuple[int, bytes]:
 
 
 def _write_inputs(directory: str) -> None:
-    """The gn(12) certificate as `construct` emits it, the built-in (6,10)
-    level as a graph6 file, and a graph6 file holding one graph."""
-    code, out = _run(["construct", "gn", "-n", "12"])
-    assert code == 0
-    graph = json.loads(out)["graph"]
-    with open(os.path.join(directory, CERT), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(graph))
+    """The gn(12) and double_wheel(20) certificates as `construct` emits
+    them, the built-in (6,10) level as a graph6 file, and a graph6 file
+    holding one graph."""
+    for name, argv in ((CERT, ["gn", "-n", "12"]), (WHEEL, ["double-wheel", "-n", "20"])):
+        code, out = _run(["construct", *argv])
+        assert code == 0
+        graph = json.loads(out)["graph"]
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(graph))
     with open(os.path.join(directory, LEVEL), "w", encoding="ascii") as fh:
         fh.write("".join(encode_graph6(g) + "\n" for g in LevelLadder(6).level(10)))
     with open(os.path.join(directory, ONE_GRAPH), "w", encoding="ascii") as fh:

@@ -12,7 +12,12 @@ from rbturan.graphs import (
     build_colored_graph,
     permute_colors,
 )
-from rbturan.rainbow import RainbowWitness, find_rainbow_path
+from rbturan.rainbow import (
+    RainbowWitness,
+    _colored_adjacency,
+    _meet_in_the_middle,
+    find_rainbow_path,
+)
 
 from helpers import replay_witness
 
@@ -180,3 +185,53 @@ def test_proper_class_representatives_stay_rainbow_free(edge_corpus):
     for g in edge_corpus[5][:10]:
         for rep in iter_coloring_classes(g, 4):
             assert find_rainbow_path(rep, 4) is None
+
+
+def _random_colored_graph(rng: random.Random) -> ColoredGraph:
+    """A random graph on at most 10 vertices, any density, with a random
+    proper coloring or a random coloring that may repeat colors at a
+    vertex; palettes run from tight to loose."""
+    n = rng.randint(2, 10)
+    density = rng.random()
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+    if not edges:
+        edges = [(0, 1)]
+    rng.shuffle(edges)
+    if rng.random() < 0.5:
+        palette = rng.randint(1, len(edges))
+        colors = [rng.randint(1, palette) for _ in edges]
+    else:
+        colors = []
+        at = [set() for _ in range(n)]
+        palette = rng.randint(1, 2 * n)
+        for u, v in edges:
+            free = [c for c in range(1, palette + 1) if c not in at[u] | at[v]]
+            c = rng.choice(free) if free else max(at[u] | at[v]) + 1
+            at[u].add(c)
+            at[v].add(c)
+            colors.append(c)
+    return build_colored_graph(n, [(u, v, c) for (u, v), c in zip(edges, colors)])
+
+
+def test_seeded_random_graphs_agree_with_brute_force():
+    """Detector vs brute force on random colored graphs up to 10 vertices,
+    proper and improper, k = 2..9: both meeting shapes (middle vertex and
+    middle edge) at every arm length up to 4.  The meet in the middle is
+    also run to its own answer, which the detector skips whenever its walk
+    settles first.  Brute force runs until the first k without a rainbow
+    P_k; from there on, and wherever fewer than k-1 colors are used, no
+    rainbow P_k can exist."""
+    rng = random.Random(2024)
+    for _ in range(1600):
+        cg = _random_colored_graph(rng)
+        nbrs = _colored_adjacency(cg)
+        palette = len(set(cg.colors))
+        want = True
+        for k in range(2, 10):
+            want = want and palette >= k - 1 and brute_has_rainbow(cg, k)
+            got = find_rainbow_path(cg, k)
+            assert (got is not None) == want, (cg.edges, cg.colors, k)
+            if got is not None:
+                assert replay_witness(cg, got, k)
+            *_, met = _meet_in_the_middle(nbrs, k)
+            assert met == want, (cg.edges, cg.colors, k)
