@@ -118,6 +118,8 @@ def decode_colored(text: str) -> ColoredGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CodecError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise CodecError("JSON nested too deeply") from None
     return colored_from_doc(doc)
 
 

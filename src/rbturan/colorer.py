@@ -9,7 +9,8 @@ per-vertex used-color bitmasks; the rainbow constraint is enforced by
 checking, after each assignment, every k-vertex path whose edges just
 became fully colored.  Those paths form the bucket of the assigned
 position j: the edge at j joined with two vertex-disjoint arms that use
-only edges at earlier positions.  A bucket is stored bit-sliced, one
+only edges at earlier positions, both grown by one walk that hands over
+from the left arm to the right one.  A bucket is stored bit-sliced, one
 column per earlier position p whose bit i is set when path i uses the
 edge at p, and is built the first time the search reaches j, so
 positions the search never reaches cost nothing.
@@ -107,7 +108,9 @@ class _Searcher:
 
         Each path is the edge (a, b) at j with a left arm from a and a right
         arm from b, vertex-disjoint, k-2 edges in all, every edge at a
-        position below j.  Fixing which end of the edge is a makes each
+        position below j.  One walk builds both: it grows the left arm, and
+        at each vertex of it first hands the edges still needed over to a
+        right arm from b.  Fixing which end of the edge is a makes each
         path come out exactly once.  The walk numbers the paths in the
         order it completes them, so the paths that extend one partial arm
         are a run of consecutive bits, set in one operation.  The search
@@ -120,8 +123,10 @@ class _Searcher:
         nbrs = self.nbrs
         cols = [0] * j
 
-        # each walk returns the number of paths completed so far
-        def right(v: int, seen: int, need: int, count: int) -> int:
+        # returns the number of paths completed so far
+        def walk(v: int, seen: int, need: int, count: int, on_left: bool) -> int:
+            if on_left:
+                count = walk(b, seen, need, count, False)
             for p, w in nbrs[v]:
                 if p >= j:
                     break
@@ -133,30 +138,12 @@ class _Searcher:
                     count += 1
                 else:
                     start = count
-                    count = right(w, seen | bit, need - 1, count)
+                    count = walk(w, seen | bit, need - 1, count, on_left)
                     if count > start:
                         cols[p] |= ((1 << (count - start)) - 1) << start
             return count
 
-        def left(v: int, seen: int, need: int, count: int) -> int:
-            count = right(b, seen, need, count)
-            for p, w in nbrs[v]:
-                if p >= j:
-                    break
-                bit = 1 << w
-                if seen & bit:
-                    continue
-                if need == 1:
-                    cols[p] |= 1 << count
-                    count += 1
-                else:
-                    start = count
-                    count = left(w, seen | bit, need - 1, count)
-                    if count > start:
-                        cols[p] |= ((1 << (count - start)) - 1) << start
-            return count
-
-        count = left(a, (1 << a) | (1 << b), self.k - 2, 0)
+        count = walk(a, (1 << a) | (1 << b), self.k - 2, 0, True)
         built = ((1 << count) - 1, cols)
         self._buckets[j] = built
         return built

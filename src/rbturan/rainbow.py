@@ -9,11 +9,15 @@ precomputed per-vertex adjacency.
 Existence is decided by meet in the middle.  A rainbow P_k has a middle
 vertex (k-1 even) or a middle edge (k-1 odd), and from it two rainbow
 arms of (k-1)//2 edges that share no vertex and no color.  The arms of
-each vertex come from the walker and are stored bit-sliced: per vertex or
-color bit, the column of the arms that use it.  An arm is met against
-all arms of the other side at once by ORing the other side's columns of
-its own bits; a path exists exactly when some arm leaves an arm of the
-other side outside that union.
+each vertex come from the walker, are built once for every middle at
+that vertex, and are stored bit-sliced: per vertex or color bit, the
+column of the arms that use it.  One loop meets the arms of each middle
+in turn.  A middle is two arm sets and the bits each side must avoid: a
+middle vertex is its own arm set twice with nothing to avoid, a middle
+edge the arm sets of its ends, each closed to the edge's color and far
+end.  An arm is met against all arms of the other side at once by ORing
+the other side's columns of its own bits; a path exists exactly when
+some arm leaves an arm of the other side outside that union.
 
 The returned witness always comes from the walker run from every start
 vertex in turn, so it is the lexicographically least one and
@@ -26,7 +30,7 @@ whose least path is found at once never builds the arms in full.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterator
+from typing import Iterator
 
 from .graphs import ColoredGraph, GraphError, normalize_colors
 
@@ -134,45 +138,14 @@ class _ArmSet:
         return every
 
 
-def _edge_meets(
-    x: _ArmSet, y: _ArmSet, x_avoid: int, y_avoid: int
-) -> Generator[None, None, bool]:
-    """Whether an arm of x sharing no bit with x_avoid and an arm of y
-    sharing no bit with y_avoid share no bit; yields after each arm met
-    in vain.  Arms built for earlier middles are met first, the side with
-    fewer running the loop; then the sides grow in turn, each new arm met
-    against the other side's arms so far."""
-    sides = ((x, x_avoid, y, y_avoid), (y, y_avoid, x, x_avoid))
-    near, avoid, other, other_avoid = min(sides, key=lambda side: len(side[0].arms))
-    for arm in near.arms:
-        if not arm & avoid and other.free(arm | other_avoid):
-            return True
-        yield
-    while not (x.done and y.done):
-        for near, avoid, other, other_avoid in sides:
-            if not near.done:
-                arm = near.grow()
-                if arm is not None and not arm & avoid and other.free(arm | other_avoid):
-                    return True
-                yield
-    return False
-
-
 def _meet_in_the_middle(nbrs: Adjacency, k: int) -> Iterator[bool | None]:
     """Whether the graph holds a rainbow P_k: yields None after each arm
-    built or met in vain, then the answer."""
+    built or met in vain, then the answer.
+
+    Per middle, the arms built for earlier middles are met first, the side
+    with fewer running the loop; then the sides grow in turn, each new arm
+    met against the other side's arms so far."""
     length = (k - 1) // 2
-    if (k - 1) % 2 == 0:
-        for v in range(len(nbrs)):
-            arms = _ArmSet(nbrs, v, length)
-            # a new arm meets itself, so only earlier arms can be free
-            while (arm := arms.grow()) is not None:
-                if arms.free(arm):
-                    yield True
-                    return
-                yield None
-        yield False
-        return
     built: list[_ArmSet | None] = [None] * len(nbrs)
 
     def arms_of(v: int) -> _ArmSet:
@@ -181,18 +154,34 @@ def _meet_in_the_middle(nbrs: Adjacency, k: int) -> Iterator[bool | None]:
             arms = built[v] = _ArmSet(nbrs, v, length)
         return arms
 
-    for a, lst in enumerate(nbrs):
-        for b, bits in lst:
-            if b < a:
-                continue
-            # the middle edge's color and its far end are closed to each arm
-            cbit = bits ^ (1 << b)
-            met = yield from _edge_meets(
-                arms_of(a), arms_of(b), (1 << b) | cbit, (1 << a) | cbit
-            )
-            if met:
+    if (k - 1) % 2 == 0:
+        # a middle vertex meets its own arms; a new arm meets itself, so
+        # only earlier arms can be free
+        middles = ((arms_of(v), 0, arms_of(v), 0) for v in range(len(nbrs)))
+    else:
+        # a middle edge (a, b) closes its color and its far end to each
+        # side: bits holds b and the color, and b's side swaps b for a
+        middles = (
+            (arms_of(a), bits, arms_of(b), bits ^ (1 << a) ^ (1 << b))
+            for a, lst in enumerate(nbrs)
+            for b, bits in lst
+            if a < b
+        )
+    for x, x_avoid, y, y_avoid in middles:
+        sides = ((x, x_avoid, y, y_avoid), (y, y_avoid, x, x_avoid))
+        near, avoid, other, other_avoid = min(sides, key=lambda side: len(side[0].arms))
+        for arm in near.arms:
+            if not arm & avoid and other.free(arm | other_avoid):
                 yield True
                 return
+            yield None
+        while not (x.done and y.done):
+            for near, avoid, other, other_avoid in sides:
+                if (arm := near.grow()) is not None:
+                    if not arm & avoid and other.free(arm | other_avoid):
+                        yield True
+                        return
+                    yield None
     yield False
 
 

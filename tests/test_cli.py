@@ -462,6 +462,18 @@ def test_edges_that_are_not_a_list_are_usage_error(capsys, tmp_path, subcommand)
     assert "edges must be a list" in err
 
 
+@pytest.mark.parametrize("subcommand", ["detect", "validate", "color"])
+def test_deeply_nested_json_is_usage_error(capsys, tmp_path, subcommand):
+    # the JSON parser recurses per nesting level; running out of stack is
+    # malformed input, not a property that fails
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": ' + "[" * depth + "]" * depth + "}")
+    code, out, err = invoke(capsys, subcommand, "-k", "3", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "nested too deeply" in err
+
+
 @pytest.mark.parametrize("family, n", [("g5", 9), ("g7", 5), ("octahedron", 7), ("icosahedron", 6)])
 def test_fixed_size_family_rejects_other_n(capsys, family, n):
     code, out, err = invoke(capsys, "construct", family, "-n", str(n), "--validate")

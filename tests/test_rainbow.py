@@ -12,6 +12,7 @@ from rbturan.graphs import (
     build_colored_graph,
     permute_colors,
 )
+from rbturan import rainbow
 from rbturan.rainbow import (
     RainbowWitness,
     _colored_adjacency,
@@ -235,3 +236,37 @@ def test_seeded_random_graphs_agree_with_brute_force():
                 assert replay_witness(cg, got, k)
             *_, met = _meet_in_the_middle(nbrs, k)
             assert met == want, (cg.edges, cg.colors, k)
+
+
+def _round_robin_k(n: int) -> ColoredGraph:
+    """K_n, n even, in the round-robin proper 1-factorization: vertex n-1
+    is fixed and round r pairs it with r and r+i with r-i mod n-1."""
+    odd = n - 1
+    triples = [(u, odd, u + 1) for u in range(odd)]
+    triples += [
+        (u, v, (u + v) * (odd + 1) // 2 % odd + 1)
+        for u, v in itertools.combinations(range(odd), 2)
+    ]
+    return build_colored_graph(n, triples)
+
+
+@pytest.mark.parametrize("n, k", [(16, 12), (18, 14)])
+def test_least_path_found_at_once_builds_few_arms(monkeypatch, n, k):
+    """The walk and the meet in the middle advance in turn: on a dense
+    graph whose least path 0, 1, ..., k-1 is the walk's first, at most one
+    arm is built per walk step.  Deciding existence before walking instead
+    would build the arms of K18 at k=14 in full (minutes), so the count
+    stops the run at the first arm over k."""
+    grown = 0
+    grow = rainbow._ArmSet.grow
+
+    def counted(self):
+        nonlocal grown
+        grown += 1
+        assert grown <= k, "arms built ahead of the walk"
+        return grow(self)
+
+    monkeypatch.setattr(rainbow._ArmSet, "grow", counted)
+    cg = _round_robin_k(n)
+    witness = find_rainbow_path(cg, k)
+    assert witness is not None and witness.vertices == tuple(range(k))
