@@ -13,7 +13,7 @@ where each entry of "edges" is [u, v, color].
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterator
 
 from .graphs import ColoredGraph, Graph, GraphError, build_colored_graph
 
@@ -86,24 +86,28 @@ def encode_graph6(g: Graph) -> str:
     return "".join(chars)
 
 
-def read_graph6_file(path: str) -> list[Graph]:
-    """Read a file with one graph6 line per graph; blank lines skipped.  A
-    file with no graph6 line is rejected; a bad line is reported as path:line."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [line.strip() for line in fh]
-    except UnicodeDecodeError:
-        raise CodecError(f"{path} is not a graph6 file: it holds non-ASCII bytes") from None
-    graphs = []
-    for number, line in enumerate(lines, 1):  # 1-based, blank lines counted
-        if line:
-            try:
-                graphs.append(decode_graph6(line))
-            except CodecError as exc:
-                raise CodecError(f"{path}:{number}: {exc}") from None
-    if not graphs:
+def read_graph6_file(path: str) -> Iterator[Graph]:
+    """The graphs of a file with one graph6 line per graph, read a line at a
+    time; blank lines are skipped.  Errors surface as the file is read: a
+    bad line is reported as path:line when it is reached, and a file with
+    no graph6 line once it is read to the end."""
+    found = False
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            for number, line in enumerate(fh, 1):  # 1-based, blank lines counted
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    g = decode_graph6(line)
+                except CodecError as exc:
+                    raise CodecError(f"{path}:{number}: {exc}") from None
+                found = True
+                yield g
+        except UnicodeDecodeError:
+            raise CodecError(f"{path} is not a graph6 file: it holds non-ASCII bytes") from None
+    if not found:
         raise CodecError(f"{path} holds no graph6 line")
-    return graphs
 
 
 def encode_colored(cg: ColoredGraph, meta: dict[str, Any] | None = None) -> str:

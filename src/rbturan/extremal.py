@@ -13,6 +13,13 @@ under taking subgraphs.  So a minimal counterexample above the bound is
 reduced, and refuting all reduced planar levels (n', floor(3n'/2)+1) for
 n' <= N refutes every planar graph above the bound for every n' <= N.
 Values claimed at other bounds are refuted without the reduction filter.
+
+A level is one streaming pass: its candidates pass the filters and are
+searched in blocks of at most BLOCK (1024) graphs, and only the tallies,
+a running digest and the first SAT certificate outlive a block.  So a
+level fed from a graph6 file, read a line at a time, holds at most one
+block of graphs however long the file is; a built-in level's graphs are
+held by the ladder that made them.
 """
 
 from __future__ import annotations
@@ -21,9 +28,11 @@ import functools
 import hashlib
 import os
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import islice
 from multiprocessing import get_context
-from typing import Any
+from typing import Any, Iterator
 
 from .codec import colored_to_doc, encode_graph6, read_graph6_file
 from .colorer import BUDGET_EXCEEDED, SAT, UNSAT, find_coloring
@@ -33,6 +42,10 @@ from .graphs import ColoredGraph, Graph, GraphError
 from .planarity import is_planar, planar_edge_cap
 
 BUILTIN_MAX_N = 8
+# The most filtered candidates a level holds at once.  Every level of the
+# reduced chain up to BUILTIN_MAX_N is one block (the largest, (8,13), has
+# 600), so a chain level is still one pool map over all its candidates.
+BLOCK = 1024
 
 
 class BudgetExhausted(Exception):
@@ -56,47 +69,65 @@ def _candidate_source(graph6_path: str | None) -> str:
     return "built-in" if graph6_path is None else f"graph6:{graph6_path}"
 
 
-def enumerate_candidates(
+def candidate_blocks(
     n: int,
     m: int,
+    counts: dict[str, int],
+    *,
     reduced: bool = False,
     planar: bool = False,
     graph6_path: str | None = None,
-) -> tuple[tuple[Graph, ...], dict[str, int]]:
+) -> Iterator[list[Graph]]:
     """Pairwise non-isomorphic (n, m) graphs surviving the requested
-    filters, and the count after each stage, keyed as in a level report:
-    ``candidates`` (all classes), ``reduced`` and ``planar``.  A filter
-    that is off leaves the count unchanged.
+    filters, in source order and in blocks of at most BLOCK.  ``counts``
+    gets the count after each stage, keyed as in a level report:
+    ``candidates`` (all classes), ``reduced`` and ``planar``; a filter that
+    is off leaves the count unchanged.  The counts are final once the
+    blocks run out.
 
     Filters run in cost order: the degree-based reduction filter first,
     then the Euler bound inside the full planarity test.  Built-in
     generation covers n <= BUILTIN_MAX_N; larger n must come from a
     graph6 file, which is trusted to be complete and isomorph-free
-    (recorded in the report's source).
+    (recorded in the report's source).  The file is read as the blocks
+    are taken, so a bad line or a graph of another shape is an error only
+    once every block before it has been taken.
     """
     if graph6_path is not None:
-        graphs = read_graph6_file(graph6_path)
-        for g in graphs:
-            if g.n != n or len(g.edges) != m:
+        source = read_graph6_file(graph6_path)
+    elif n > BUILTIN_MAX_N:
+        raise GraphError(
+            f"built-in enumeration caps at n <= {BUILTIN_MAX_N}; "
+            f"supply --from-graph6 for n={n}"
+        )
+    else:
+        source = iter(_ladder(n).level(m))
+    counts.update(candidates=0, reduced=0, planar=0)
+    block: list[Graph] = []
+    # decoding and each filter run over a whole batch, which is cheaper than
+    # taking one graph through every phase; a batch is never more than the
+    # room left in the block, so no more than BLOCK graphs are held
+    while batch := list(islice(source, BLOCK - len(block))):
+        for g in batch:
+            if g.n != n or len(g.edges) != m:  # only a file can hold such a graph
                 raise GraphError(
                     f"{graph6_path}: graph6 candidate {encode_graph6(g)} has "
                     f"n={g.n}, m={len(g.edges)}; expected ({n},{m})"
                 )
-    else:
-        if n > BUILTIN_MAX_N:
-            raise GraphError(
-                f"built-in enumeration caps at n <= {BUILTIN_MAX_N}; "
-                f"supply --from-graph6 for n={n}"
-            )
-        graphs = list(_ladder(n).level(m))
-    counts = {"candidates": len(graphs)}
-    if reduced:
-        graphs = [g for g in graphs if is_reduced(g)]
-    counts["reduced"] = len(graphs)
-    if planar:
-        graphs = [g for g in graphs if is_planar(g)]
-    counts["planar"] = len(graphs)
-    return tuple(graphs), counts
+        counts["candidates"] += len(batch)
+        if reduced:
+            batch = [g for g in batch if is_reduced(g)]
+        counts["reduced"] += len(batch)
+        if planar:
+            batch = [g for g in batch if is_planar(g)]
+        counts["planar"] += len(batch)
+        block += batch
+        del batch  # only the block holds these graphs, so its reader can let them go
+        if len(block) == BLOCK:
+            yield block
+            block = []
+    if block:
+        yield block
 
 
 @dataclass(frozen=True)
@@ -109,7 +140,7 @@ class LevelReport:
     k: int
     filters: tuple[str, ...]
     source: str
-    # candidates, reduced, planar (see enumerate_candidates), then the
+    # candidates, reduced, planar (see candidate_blocks), then the
     # search outcomes unsat, sat and budget_exceeded
     counts: dict[str, int]
     nodes: int
@@ -150,6 +181,17 @@ def _solve_chunk(payload: tuple) -> list[tuple[str, int, tuple[int, ...] | None]
     return out
 
 
+def _pool(processes: int):
+    """A process pool of at most ``processes`` workers that never
+    outnumbers the CPUs the run may use."""
+    try:
+        ctx = get_context("fork")
+    except ValueError:  # platforms without fork; Graph payloads pickle fine
+        ctx = get_context("spawn")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return ctx.Pool(processes=min(processes, cpus or 1))
+
+
 def run_level(
     n: int,
     m: int,
@@ -169,31 +211,34 @@ def run_level(
         raise GraphError(f"need m >= 0, got m={m}")
     if k < 3:
         raise GraphError(f"need k >= 3, got k={k}")
-    graphs, counts = enumerate_candidates(
-        n, m, reduced=reduced, planar=planar, graph6_path=graph6_path
-    )
-    if jobs <= 1 or len(graphs) <= 1:
-        results = _solve_chunk((graphs, k, node_budget))
-    else:
-        size = -(-len(graphs) // min(jobs, len(graphs)))
-        payloads = [(graphs[i : i + size], k, node_budget) for i in range(0, len(graphs), size)]
-        try:
-            ctx = get_context("fork")
-        except ValueError:  # platforms without fork; Graph payloads pickle fine
-            ctx = get_context("spawn")
-        # chunks follow --jobs; the pool never outnumbers the CPUs it may use
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        with ctx.Pool(processes=min(len(payloads), cpus or 1)) as pool:
-            # map returns the parts in chunk order, so results follow graphs
-            results = [r for part in pool.map(_solve_chunk, payloads) for r in part]
-    tally = Counter(status for status, _, _ in results)
+    counts: dict[str, int] = {}
+    tally: Counter[str] = Counter()
+    nodes, index, first_sat = 0, 0, None
+    digest = hashlib.sha256()  # over the lines "i:graph6:status", joined by "\n"
+    blocks = candidate_blocks(n, m, counts, reduced=reduced, planar=planar, graph6_path=graph6_path)
+    with ExitStack() as stack:
+        pool = None
+        for block in blocks:
+            # at most --jobs chunks; a single chunk runs in this process
+            size = -(-len(block) // min(jobs, len(block)))
+            payloads = [(block[i : i + size], k, node_budget) for i in range(0, len(block), size)]
+            if len(payloads) == 1:
+                results = _solve_chunk(payloads[0])
+            else:
+                if pool is None:  # one pool per level, sized by its first block
+                    pool = stack.enter_context(_pool(len(payloads)))
+                # map returns the parts in chunk order, so results follow the block
+                results = [r for part in pool.map(_solve_chunk, payloads) for r in part]
+            for g, (status, count, cert) in zip(block, results):
+                line = f"{index}:{encode_graph6(g)}:{status}"
+                digest.update((f"\n{line}" if index else line).encode())
+                tally[status] += 1
+                nodes += count
+                if status == SAT and first_sat is None:
+                    first_sat = (index, ColoredGraph(g, cert))
+                index += 1
+            del block, payloads, results  # let go of this block before the next is read
     counts.update(unsat=tally[UNSAT], sat=tally[SAT], budget_exceeded=tally[BUDGET_EXCEEDED])
-    lines, first_sat = [], None
-    for i, (g, (status, _, cert)) in enumerate(zip(graphs, results)):
-        lines.append(f"{i}:{encode_graph6(g)}:{status}")
-        if status == SAT and first_sat is None:
-            first_sat = (i, ColoredGraph(g, cert))
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     if tally[SAT]:
         status = "FAIL"
     elif tally[BUDGET_EXCEEDED]:
@@ -207,9 +252,9 @@ def run_level(
         filters=tuple(name for name, on in (("reduced", reduced), ("planar", planar)) if on),
         source=_candidate_source(graph6_path),
         counts=counts,
-        nodes=sum(nodes for _, nodes, _ in results),
+        nodes=nodes,
         status=status,
-        digest=digest,
+        digest=digest.hexdigest(),
         first_sat=first_sat,
     )
 

@@ -1,12 +1,13 @@
 """Reference code the tests share: an edge-by-edge generator of small
 graphs without isolated vertices, independent of the canonical-augmentation
 ladder, a re-derivation of the frozen construction colorings, vertex
-relabelling and rainbow-witness replay."""
+relabelling, rainbow-witness replay, and a whole filtered level at once."""
 
 from __future__ import annotations
 
 from rbturan.colorer import find_coloring
 from rbturan.constructions import FAMILY_TABLE
+from rbturan.extremal import candidate_blocks
 from rbturan.generation import canonical_form
 from rbturan.graphs import ColoredGraph, Graph, GraphError, build_graph
 from rbturan.rainbow import RainbowWitness
@@ -17,6 +18,22 @@ def relabel(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
     if sorted(perm) != list(range(g.n)):
         raise GraphError("perm is not a permutation of the vertex ids")
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def enumerate_candidates(
+    n: int,
+    m: int,
+    reduced: bool = False,
+    planar: bool = False,
+    graph6_path: str | None = None,
+) -> tuple[tuple[Graph, ...], dict[str, int]]:
+    """Every filtered candidate of the (n, m) level and the count after
+    each stage, drained from the level's block stream."""
+    counts: dict[str, int] = {}
+    blocks = candidate_blocks(
+        n, m, counts, reduced=reduced, planar=planar, graph6_path=graph6_path
+    )
+    return tuple(g for block in blocks for g in block), counts
 
 
 def replay_witness(cg: ColoredGraph, w: RainbowWitness, k: int) -> bool:

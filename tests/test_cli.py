@@ -412,6 +412,33 @@ def test_refute_from_graph6_file(capsys, tmp_path):
     assert doc["source"] == f"graph6:{path}"
 
 
+@pytest.mark.parametrize(
+    "late, message",
+    [
+        ("D?", "{path}:22: graph6 body has 1 characters, expected 2 for n=5"),
+        ("D_?", "{path}: graph6 candidate D_? has n=5, m=1; expected (6,9)"),
+    ],
+    ids=["malformed", "wrong-shape"],
+)
+def test_graph6_file_error_after_the_first_block(capsys, monkeypatch, tmp_path, late, message):
+    # with blocks of 5, the 12 reduced planar (6,9) classes before line 22
+    # fill two blocks, and both are searched before line 22 is read
+    monkeypatch.setattr(extremal, "BLOCK", 5)
+    lines = [encode_graph6(g) for g in LevelLadder(6).level(9)]
+    path = tmp_path / "level.g6"
+    path.write_text("".join(line + "\n" for line in lines + [late] + lines))
+    solve, searched = extremal._solve_chunk, []
+    monkeypatch.setattr(
+        extremal, "_solve_chunk", lambda payload: searched.append(payload) or solve(payload)
+    )
+    code, out, err = invoke(
+        capsys, "refute", "-n", "6", "-m", "9", "-k", "5", "--from-graph6", str(path)
+    )
+    assert code == 2 and out == ""
+    assert len(searched) == 2
+    assert err == "error: " + message.format(path=path) + "\n"
+
+
 def test_extremal_rejects_from_graph6_it_would_not_read(capsys):
     # no construction at (6, k=4): level descent is built-in only
     code, out, err = invoke(

@@ -82,7 +82,7 @@ def test_graph6_file_without_graphs_is_rejected(tmp_path, text):
     path = tmp_path / "empty.g6"
     path.write_text(text)
     with pytest.raises(CodecError, match="holds no graph6 line"):
-        read_graph6_file(str(path))
+        list(read_graph6_file(str(path)))
 
 
 def test_graph6_file_error_names_file_and_line(tmp_path):
@@ -91,10 +91,10 @@ def test_graph6_file_error_names_file_and_line(tmp_path):
     where = re.escape(str(path))
     path.write_text("C~\nD?\n")
     with pytest.raises(CodecError, match=rf"^{where}:2: graph6 body has 1 characters"):
-        read_graph6_file(str(path))
+        list(read_graph6_file(str(path)))
     path.write_text("C~\n\nD?\n")
     with pytest.raises(CodecError, match=rf"^{where}:3: "):
-        read_graph6_file(str(path))
+        list(read_graph6_file(str(path)))
 
 
 def test_truncated_body():

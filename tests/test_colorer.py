@@ -20,7 +20,7 @@ from rbturan.generation import LevelLadder
 from rbturan.graphs import GraphError, build_graph, is_proper
 from rbturan.rainbow import find_rainbow_path
 
-from helpers import relabel
+from helpers import enumerate_candidates, relabel
 
 K4 = build_graph(4, list(itertools.combinations(range(4), 2)))
 C4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -155,8 +155,6 @@ def test_determinism():
 def test_decision_agrees_with_full_enumeration_on_refutation_instances():
     # the iterative decision search and the recursive all-solutions
     # enumerator must agree on every planar (6,10) candidate
-    from rbturan.extremal import enumerate_candidates
-
     graphs, _ = enumerate_candidates(6, 10, planar=True)
     for g in graphs:
         assert find_coloring(g, 5).status == UNSAT

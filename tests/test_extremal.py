@@ -1,25 +1,28 @@
 from __future__ import annotations
 
+import gc
+import hashlib
 import itertools
 import os
 
 import networkx as nx
 import pytest
 
-from rbturan import extremal
-from rbturan.codec import encode_graph6
-from rbturan.colorer import oracle_enumerate
+from rbturan import codec, extremal
+from rbturan.codec import decode_graph6, encode_graph6
+from rbturan.colorer import SAT, UNSAT, find_coloring, oracle_enumerate
 from rbturan.constructions import validate_construction
 from rbturan.extremal import (
     compute_extremal,
-    enumerate_candidates,
     is_reduced,
     planar_edge_cap,
     run_level,
 )
 from rbturan.generation import LevelLadder
-from rbturan.graphs import GraphError, build_graph
+from rbturan.graphs import Graph, GraphError, build_graph
 from rbturan.planarity import is_planar
+
+from helpers import enumerate_candidates
 
 
 def test_is_reduced_examples():
@@ -259,6 +262,13 @@ def test_pool_never_outnumbers_cpus(monkeypatch, affinity, cpus):
     assert wide == alone
 
 
+def test_every_chain_level_is_one_block():
+    # so certify's pool maps each chain level's candidates in one call
+    for n in range(4, extremal.BUILTIN_MAX_N + 1):
+        blocks = list(extremal.candidate_blocks(n, 3 * n // 2 + 1, {}, reduced=True, planar=True))
+        assert len(blocks) <= 1
+
+
 def test_budget_poisons_level():
     lv = run_level(6, 10, 5, reduced=True, planar=True, node_budget=3)
     assert lv.status == "BUDGET"
@@ -289,6 +299,81 @@ def test_graph6_source_rejects_mismatched_level(tmp_path):
         enumerate_candidates(6, 10, graph6_path=str(path))
     # the message names the file and the bad candidate's graph6 text
     assert str(path) in str(exc.value) and "D_?" in str(exc.value)
+
+
+def _write_level_6_9(path, passes: int) -> None:
+    """The (6,9) level as a graph6 file, written forward then backward, one
+    pass after another.  Each pass holds 8 classes that are not reduced,
+    K3,3 (reduced, not planar) and 12 reduced planar classes, 3 of them SAT
+    at k=5."""
+    lines = [encode_graph6(g) for g in LevelLadder(6).level(9)]
+    path.write_text("".join(
+        line + "\n" for i in range(passes) for line in (lines[::-1] if i % 2 else lines)
+    ))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_blocks_of_a_file_fed_level_add_up_to_the_whole_level(monkeypatch, tmp_path, jobs):
+    monkeypatch.setattr(extremal, "BLOCK", 5)
+    path = tmp_path / "level_6_9.g6"
+    _write_level_6_9(path, 2)
+    lv = run_level(6, 9, 5, reduced=True, jobs=jobs, graph6_path=str(path))
+    # reference: the whole file at once, one search per filtered graph
+    lines = path.read_text().split()
+    reduced = [line for line in lines if is_reduced(decode_graph6(line))]
+    planar = [line for line in reduced if is_planar(decode_graph6(line))]
+    outcomes = [find_coloring(decode_graph6(line), 5) for line in planar]
+    statuses = [out.status for out in outcomes]
+    sat = [i for i, status in enumerate(statuses) if status == SAT]
+    # every filter drops lines, and SAT candidates sit in three blocks
+    # after the first
+    assert len(lines) > len(reduced) > len(planar)
+    assert sorted({i // 5 for i in sat}) == [1, 2, 3]
+    assert lv.counts == {
+        "candidates": len(lines),
+        "reduced": len(reduced),
+        "planar": len(planar),
+        "unsat": statuses.count(UNSAT),
+        "sat": len(sat),
+        "budget_exceeded": 0,
+    }
+    assert lv.nodes == sum(out.nodes for out in outcomes)
+    assert lv.status == "FAIL"
+    joined = "\n".join(
+        f"{i}:{line}:{status}" for i, (line, status) in enumerate(zip(planar, statuses))
+    )
+    assert lv.digest == hashlib.sha256(joined.encode()).hexdigest()
+    assert lv.first_sat == (sat[0], outcomes[sat[0]].certificate)
+
+
+def _live_graphs() -> int:
+    return sum(isinstance(obj, Graph) for obj in gc.get_objects())
+
+
+def test_file_fed_level_holds_one_block_of_graphs(monkeypatch, tmp_path):
+    monkeypatch.setattr(extremal, "BLOCK", 5)
+    path = tmp_path / "level_6_9.g6"
+    _write_level_6_9(path, 4)
+    live: dict[str, list[int]] = {"read": [], "search": []}
+
+    def counting(stage, fn):
+        def counted(arg):
+            live[stage].append(_live_graphs())
+            return fn(arg)
+
+        return counted
+
+    # count as each line is decoded and as each block is searched
+    monkeypatch.setattr(codec, "decode_graph6", counting("read", codec.decode_graph6))
+    monkeypatch.setattr(extremal, "_solve_chunk", counting("search", extremal._solve_chunk))
+    gc.collect()
+    before = _live_graphs()
+    lv = run_level(6, 9, 5, reduced=False, graph6_path=str(path))
+    # beyond the block: the last candidate of the block before and the
+    # first SAT candidate
+    assert max(live["read"] + live["search"]) - before <= 5 + 2
+    assert len(live["read"]) == lv.counts["candidates"] == 84
+    assert len(live["search"]) == lv.counts["planar"] // 5 == 16
 
 
 @pytest.mark.parametrize("n,k,want", [(5, 5, 7), (6, 5, 9), (5, 3, 2), (4, 4, 6)])
