@@ -3,9 +3,10 @@
 One binary, subcommand style: detect, color, lemma, construct, extremal,
 refute, validate.  A subcommand returns its report and writes nothing;
 ``run`` writes it once: one JSON line to standard output (byte identical
-across runs and worker counts), a human summary to standard error.  Exit
-status encodes the verdict: 0 pass / found as expected, 1 property fails
-or mismatch, 2 usage error, 3 search budget exceeded.
+across runs, and across worker counts except for the echoed ``jobs`` in
+``config``), a human summary to standard error.  Exit status encodes the
+verdict: 0 pass / found as expected, 1 property fails or mismatch, 2 usage
+error, 3 search budget exceeded.
 
 Options can be overridden through RBTURAN_-prefixed environment
 variables (RBTURAN_JOBS, RBTURAN_BUDGET_NODES).

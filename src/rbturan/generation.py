@@ -22,9 +22,12 @@ one labelling, which gives its code, its acceptance and, for the frontier
 level only, the orbit representatives of its non-edges.  Inside the ladder
 graphs are tuples of adjacency bitmasks; each class is emitted as a Graph
 in its canonical labelling and every level is sorted by canonical code, so
-a level depends only on the set of classes it holds.  This is meant for
-desk scale (n <= 10); larger candidate sets come from graph6 files
-produced by external generators.
+a level depends only on the set of classes it holds.  The emitted graphs
+take their edge tuples from one module-level table of (i, j) pairs, so a
+level of many thousand graphs holds each pair once rather than once per
+graph, and a pickled chunk of them carries each pair once as well.  This
+is meant for desk scale (n <= 10); larger candidate sets come from graph6
+files produced by external generators.
 """
 
 from __future__ import annotations
@@ -204,11 +207,20 @@ def _non_edge_reps(adj: Sequence[int], pos: list[int], gens: list[list[int]]) ->
     return reps
 
 
+# _PAIRS[i][j] is the tuple (i, j), one object per pair that every ladder
+# graph shares; edges use the entries with i < j < CANONICAL_MAX_N
+_PAIRS = [[(i, j) for j in range(CANONICAL_MAX_N)] for i in range(CANONICAL_MAX_N)]
+
+
 def _graph_of_code(n: int, code: int) -> Graph:
-    """The graph whose adjacency rows a leaf code concatenates."""
+    """The graph whose adjacency rows a leaf code concatenates.  Its edges
+    are the tuples of the shared `_PAIRS` table, not copies, so a level of
+    many graphs holds each of the at most n(n-1)/2 pairs once."""
     full = (1 << n) - 1
     rows = [(code >> (n * (n - 1 - i))) & full for i in range(n)]
-    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n) if rows[i] >> j & 1))
+    return Graph(
+        n, tuple(_PAIRS[i][j] for i in range(n) for j in range(i + 1, n) if rows[i] >> j & 1)
+    )
 
 
 class LevelLadder:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
 
 import networkx as nx
@@ -177,6 +178,25 @@ def test_ladder_is_deterministic():
     a = [g.edges for g in LevelLadder(6).level(8)]
     b = [g.edges for g in LevelLadder(6).level(8)]
     assert a == b
+
+
+def test_ladder_graphs_share_one_tuple_per_edge_pair():
+    """Every graph a ladder emits takes its edges from the shared pair
+    table: across all levels of one n there are at most n(n-1)/2 distinct
+    edge objects, and each graph is canonical and sorted.  A chunk pickled
+    as the pool sends it still compares equal and still shares its pairs."""
+    for n in range(9):
+        ladder = LevelLadder(n)
+        ids: set[int] = set()
+        for m in range(n * (n - 1) // 2 + 1):
+            for g in ladder.level(m):
+                assert g == build_graph(n, g.edges), (n, m, g.edges)
+                ids.update(map(id, g.edges))
+        assert len(ids) <= n * (n - 1) // 2, n
+    chunk = LevelLadder(6).level(10)
+    back, k, budget = pickle.loads(pickle.dumps((chunk, 5, None)))
+    assert (back, k, budget) == (chunk, 5, None)
+    assert len({id(e) for g in back for e in g.edges}) <= 15
 
 
 def test_k4_level_unique():
