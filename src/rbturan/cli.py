@@ -351,11 +351,3 @@ def run(argv: list[str] | None = None) -> int:
     except (BudgetExhausted, GraphError, CodecError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET if isinstance(exc, BudgetExhausted) else EXIT_USAGE
-
-
-def main() -> None:  # pragma: no cover - thin wrapper
-    raise SystemExit(run())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

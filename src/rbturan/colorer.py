@@ -92,11 +92,7 @@ class _Searcher:
         for j, (u, v) in enumerate(self.endpoints):
             self.nbrs[u].append((j, v))
             self.nbrs[v].append((j, u))
-        # Paths cannot be rainbow at all when they carry more edges than
-        # there are colors available; every bucket is empty then.
-        self._buckets: list[Bucket | None] = (
-            [None] * m if k - 1 <= self.max_colors else [(0, [0] * j) for j in range(m)]
-        )
+        self._buckets: list[Bucket | None] = [None] * m
         self.nodes = 0
 
     def bucket(self, j: int) -> Bucket:
@@ -281,13 +277,13 @@ def oracle_enumerate(g: Graph, k: int) -> int:
         [j for j in range(m) if j != i and set(edges[i]) & set(edges[j])]
         for i in range(m)
     ]
+    adj = [[w for w in range(g.n) if mask >> w & 1] for mask in g.masks()]
     colors = [0] * m
     count = 0
 
     def leaf_has_rainbow() -> bool:
         if k > g.n:
             return False
-        adj = g.adj
         cmap = {e: colors[i] for i, e in enumerate(edges)}
         seq = [0] * k
 

@@ -1,7 +1,10 @@
 """Simple graphs and proper edge-colorings on dense integer vertex ids.
 
 Vertices are always 0..n-1.  Edges are stored canonically: each pair as
-(min, max), the whole edge tuple sorted lexicographically.  Values are
+(min, max), the whole edge tuple sorted lexicographically.  A `Graph` is
+a slotted value of exactly `n` and `edges`, so it holds no views beside
+them and pickles as those two fields; `masks()` and `degrees()` derive the
+adjacency bitmasks and the degree sequence afresh on each call.  Values are
 immutable after construction and safe to share across workers.
 """
 
@@ -24,21 +27,12 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """An undirected simple graph: vertex count plus canonical edge tuple."""
 
     n: int
     edges: tuple[Edge, ...]
-
-    @cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Adjacency lists, neighbors in ascending order."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
 
     def masks(self) -> list[int]:
         """Adjacency bitmask of every vertex, in a new list the caller may
@@ -49,22 +43,12 @@ class Graph:
             adj[v] |= 1 << u
         return adj
 
-    @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n
         for u, v in self.edges:
             deg[u] += 1
             deg[v] += 1
         return tuple(deg)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self.edge_set
 
 
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:

@@ -9,7 +9,7 @@ from rbturan.colorer import find_coloring
 from rbturan.constructions import FAMILY_TABLE
 from rbturan.extremal import candidate_blocks
 from rbturan.generation import canonical_form
-from rbturan.graphs import ColoredGraph, Graph, GraphError, build_graph
+from rbturan.graphs import ColoredGraph, Graph, GraphError, build_graph, canonical_edge
 from rbturan.rainbow import RainbowWitness
 
 
@@ -43,7 +43,8 @@ def replay_witness(cg: ColoredGraph, w: RainbowWitness, k: int) -> bool:
         return False
     for i in range(k - 1):
         u, v = vs[i], vs[i + 1]
-        if not cg.graph.has_edge(u, v) or cg.color_of(u, v) != w.colors[i]:
+        # a non-edge has no color, and color ids are positive
+        if cg.color_map.get(canonical_edge(u, v)) != w.colors[i]:
             return False
     return len(set(w.colors)) == k - 1
 
@@ -51,6 +52,7 @@ def replay_witness(cg: ColoredGraph, w: RainbowWitness, k: int) -> bool:
 def components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components in depth-first order, each
     starting at its smallest vertex."""
+    masks = g.masks()
     seen = [False] * g.n
     comps = []
     for s in range(g.n):
@@ -61,8 +63,8 @@ def components(g: Graph) -> list[list[int]]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w in g.adj[v]:
-                if not seen[w]:
+            for w in range(g.n):
+                if masks[v] >> w & 1 and not seen[w]:
                     seen[w] = True
                     stack.append(w)
         comps.append(comp)
@@ -94,10 +96,11 @@ def graphs_with_at_most_edges(max_m: int) -> dict[int, list[Graph]]:
         out: list[Graph] = []
         for parent in levels[m]:
             n = parent.n
+            present = set(parent.edges)
             extensions: list[tuple[int, tuple[tuple[int, int], ...]]] = []
             for u in range(n):
                 for v in range(u + 1, n):
-                    if (u, v) not in parent.edge_set:
+                    if (u, v) not in present:
                         extensions.append((n, parent.edges + ((u, v),)))
             for u in range(n):
                 extensions.append((n + 1, parent.edges + ((u, n),)))

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rbturan
 from rbturan import __version__, cli, extremal
 from rbturan.cli import run
 from rbturan.codec import encode_colored, encode_graph6
@@ -573,3 +578,25 @@ def test_color_input_reads_a_60_vertex_graph6_file_as_graph6(capsys, tmp_path):
     assert code == 1, err
     assert invoke(capsys, "color", "-k", "3", "--graph6", text)[:2] == (1, out)
     assert parse(out)["status"] == "UNSAT"
+
+
+def test_module_entry_exits_with_the_verdict():
+    """`python -m rbturan` hands run()'s exit code to the interpreter."""
+    src = str(Path(rbturan.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "rbturan", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    done = module("--version")
+    assert done.returncode == 0 and __version__ in done.stdout
+    done = module("extremal", "-n", "6", "-k", "3", "--expect", "4")
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["subcommand"] == "extremal"
+    done = module("refute", "-n", "5", "-m", "8", "-k", "2")
+    assert done.returncode == 2 and done.stdout == ""

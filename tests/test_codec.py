@@ -27,7 +27,7 @@ def quadratic_graph6(g) -> str:
     n = g.n
     bits = 0
     nbits = n * (n - 1) // 2
-    edge_set = g.edge_set
+    edge_set = set(g.edges)
     idx = nbits - 1
     for v in range(1, n):
         for u in range(v):

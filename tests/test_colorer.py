@@ -173,10 +173,11 @@ def test_max_colors_caps_search():
 def _brute_force_paths(g, k):
     """Edge sets of the k-vertex paths of g, by trying every vertex sequence."""
     paths = set()
+    edge_set = frozenset(g.edges)
     for seq in itertools.permutations(range(g.n), k):
         if seq[0] < seq[-1]:
             edges = frozenset(tuple(sorted(seq[i : i + 2])) for i in range(k - 1))
-            if edges <= g.edge_set:
+            if edges <= edge_set:
                 paths.add(edges)
     return paths
 
@@ -199,23 +200,19 @@ def test_buckets_hold_every_path_once_at_its_largest_position():
     for m in range(16):
         for g in ladder.level(m):
             for k in (3, 4, 5, 6):
-                searcher = _Searcher(g, k, None)
-                seen = Counter()
-                for j in range(m):
-                    for path in _bucket_paths(searcher, j):
-                        assert len(path) == k - 2 and max(path) < j, (g, k, j, path)
-                        edges = [searcher.endpoints[p] for p in path]
-                        seen[frozenset(edges + [searcher.endpoints[j]])] += 1
-                assert set(seen) == _brute_force_paths(g, k), (g, k)
-                assert set(seen.values()) <= {1}, (g, k)
-
-
-def test_buckets_empty_when_paths_outnumber_colors():
-    searcher = _Searcher(PRISM6, 5, 3)
-    for j in range(len(PRISM6.edges)):
-        every, cols = searcher.bucket(j)
-        assert every == 0 and not any(cols)
-        assert _bucket_paths(searcher, j) == []
+                paths = _brute_force_paths(g, k)
+                # with fewer than k - 1 colors no path can turn rainbow, and
+                # the buckets still hold every path
+                for max_colors in (None, k - 2):
+                    searcher = _Searcher(g, k, max_colors)
+                    seen = Counter()
+                    for j in range(m):
+                        for path in _bucket_paths(searcher, j):
+                            assert len(path) == k - 2 and max(path) < j, (g, k, j, path)
+                            edges = [searcher.endpoints[p] for p in path]
+                            seen[frozenset(edges + [searcher.endpoints[j]])] += 1
+                    assert set(seen) == paths, (g, k, max_colors)
+                    assert set(seen.values()) <= {1}, (g, k, max_colors)
 
 
 def test_double_wheel_k8_search_tree_is_frozen():

@@ -21,7 +21,7 @@ from rbturan.constructions import (
 from rbturan.graphs import GraphError, build_colored_graph, normalize_colors
 from rbturan.rainbow import find_rainbow_path
 
-from helpers import regenerate_frozen
+from helpers import components, regenerate_frozen
 
 
 def test_g5_shape():
@@ -54,27 +54,8 @@ def test_gn_is_three_regular_for_even_n():
 def test_gn_odd_is_disjoint_union():
     cg = gn(9)
     assert cg.n == 9 and len(cg.edges) == 13
-    comps = sorted(len(c) for c in _components(cg))
+    comps = sorted(len(c) for c in components(cg.graph))
     assert comps == [4, 5]
-
-
-def _components(cg):
-    seen = [False] * cg.n
-    comps = []
-    for s in range(cg.n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in cg.graph.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(comp)
-    return comps
 
 
 def test_gn_gate_over_modest_range():
@@ -109,7 +90,7 @@ def test_double_wheel_shape_and_colors():
 
 def test_double_wheel_hubs_not_adjacent():
     cg = double_wheel(8)
-    assert not cg.graph.has_edge(6, 7)
+    assert (6, 7) not in cg.graph.edges
 
 
 def test_k2_path_shape_and_colors():
@@ -118,7 +99,7 @@ def test_k2_path_shape_and_colors():
     rep = validate_construction(cg, 8, 3 * n - 6)
     assert rep.passed
     assert rep.colors_used == 2 * n - 3
-    assert cg.graph.has_edge(n - 2, n - 1)  # the K2 hub edge
+    assert (n - 2, n - 1) in cg.graph.edges  # the K2 hub edge
     with pytest.raises(GraphError):
         k2_path(8)
 

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
 
 import pytest
 
+from rbturan.generation import LevelLadder
 from rbturan.graphs import (
+    Graph,
     GraphError,
     build_colored_graph,
     build_graph,
@@ -24,6 +27,19 @@ def test_build_k4():
     assert g.n == 4
     assert len(g.edges) == 6
     assert g.degrees() == (3, 3, 3, 3)
+
+
+def test_graph_is_a_slotted_value():
+    g = Graph(3, ((0, 1),))
+    assert not hasattr(g, "__dict__")
+    assert Graph.__slots__ == ("n", "edges")
+
+
+def test_ladder_level_round_trips_through_pickle():
+    # the pool ships ladder graphs to its workers pickled
+    level = LevelLadder(7).level(9)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(level, protocol)) == level, protocol
 
 
 def test_build_path():

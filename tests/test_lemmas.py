@@ -16,11 +16,12 @@ GOLDEN_CLASSES = {"bow-tie": 1, "fish": 2, "medium-pair": 5, "heavy-pair": 3}
 def test_template_shapes():
     bow = template("bow-tie")
     assert bow.graph.n == 5 and len(bow.graph.edges) == 6
-    assert bow.graph.degree(bow.labels["u"]) == 4
+    assert bow.graph.degrees()[bow.labels["u"]] == 4
     fish = template("fish")
     assert fish.graph.n == 6 and len(fish.graph.edges) == 7
-    assert fish.graph.degree(fish.labels["u"]) == 4
-    assert fish.graph.degree(fish.labels["w"]) == 2
+    fish_degrees = fish.graph.degrees()
+    assert fish_degrees[fish.labels["u"]] == 4
+    assert fish_degrees[fish.labels["w"]] == 2
     medium = template("medium-pair")
     assert medium.graph.degrees() == (3, 3, 2, 2, 2)  # K_{2,3}
     heavy = template("heavy-pair")

@@ -27,18 +27,20 @@ def _contract(g: Graph, u: int, v: int) -> Graph:
 
 
 def _has_k5_subgraph(g: Graph) -> bool:
+    masks = g.masks()
     return any(
-        all(g.has_edge(a, b) for a, b in itertools.combinations(sub, 2))
+        all(masks[a] >> b & 1 for a, b in itertools.combinations(sub, 2))
         for sub in itertools.combinations(range(g.n), 5)
     )
 
 
 def _has_k33_subgraph(g: Graph) -> bool:
     vs = range(g.n)
+    masks = g.masks()
     for left in itertools.combinations(vs, 3):
         rest = [v for v in vs if v not in left]
         for right in itertools.combinations(rest, 3):
-            if all(g.has_edge(a, b) for a in left for b in right):
+            if all(masks[a] >> b & 1 for a in left for b in right):
                 return True
     return False
 

@@ -34,13 +34,14 @@ def brute_has_rainbow(cg: ColoredGraph, k: int) -> bool:
     g = cg.graph
     if k > g.n:
         return False
+    masks = g.masks()
 
     def walk(seq: list[int]) -> bool:
         if len(seq) == k:
             cols = {cg.color_of(seq[i], seq[i + 1]) for i in range(k - 1)}
             return len(cols) == k - 1
-        for w in g.adj[seq[-1]]:
-            if w not in seq:
+        for w in range(g.n):
+            if masks[seq[-1]] >> w & 1 and w not in seq:
                 if walk(seq + [w]):
                     return True
         return False
@@ -123,10 +124,11 @@ def test_agreement_with_raw_permutation_enumeration(edge_corpus):
         for g in edge_corpus[m]:
             if g.n > 8:
                 continue
+            masks = g.masks()
             for cg in all_colorings(g):
                 for k in (2, 3, 4):
                     want = any(
-                        all(g.has_edge(seq[i], seq[i + 1]) for i in range(k - 1))
+                        all(masks[seq[i]] >> seq[i + 1] & 1 for i in range(k - 1))
                         and len({cg.color_of(seq[i], seq[i + 1]) for i in range(k - 1)})
                         == k - 1
                         for seq in itertools.permutations(range(g.n), min(k, g.n))
