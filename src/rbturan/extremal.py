@@ -19,7 +19,9 @@ searched in blocks of at most BLOCK (1024) graphs, and only the tallies,
 a running digest and the first SAT certificate outlive a block.  So a
 level fed from a graph6 file, read a line at a time, holds at most one
 block of graphs however long the file is; a built-in level's graphs are
-held by the ladder that made them.
+held by the ladder that made them: the full ladder of its vertex count,
+kept for the process, or for a reduced level a degree-window ladder that
+holds only that level and goes with it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Any, Iterator
 from .codec import colored_to_doc, encode_graph6, read_graph6_file
 from .colorer import BUDGET_EXCEEDED, SAT, UNSAT, find_coloring
 from .constructions import FAMILY_TABLE, make, validate_construction
-from .generation import LevelLadder
+from .generation import LevelLadder, class_count
 from .graphs import ColoredGraph, Graph, GraphError
 from .planarity import is_planar, planar_edge_cap
 
@@ -85,6 +87,14 @@ def candidate_blocks(
     is off leaves the count unchanged.  The counts are final once the
     blocks run out.
 
+    A graph6 file's ``candidates`` are the lines read.  A built-in
+    level's are the number of (n, m) classes from ``class_count``, which
+    enumerates nothing: a reduced built-in level generates only the
+    classes of minimum degree >= 2 (a degree-window ladder), which hold
+    every reduced class in the order and labelling of the full level,
+    and any other built-in level is the full ladder's.  ``reduced`` and
+    ``planar`` count the graphs that pass each filter.
+
     Filters run in cost order: the degree-based reduction filter first,
     then the Euler bound inside the full planarity test.  Built-in
     generation covers n <= BUILTIN_MAX_N; larger n must come from a
@@ -100,9 +110,13 @@ def candidate_blocks(
             f"built-in enumeration caps at n <= {BUILTIN_MAX_N}; "
             f"supply --from-graph6 for n={n}"
         )
+    elif reduced:  # the reduced classes lie among those of minimum degree >= 2
+        source = iter(LevelLadder(n, target=m, min_degree=2).level(m))
     else:
         source = iter(_ladder(n).level(m))
-    counts.update(candidates=0, reduced=0, planar=0)
+    counts.update(
+        candidates=0 if graph6_path is not None else class_count(n, m), reduced=0, planar=0
+    )
     block: list[Graph] = []
     # decoding and each filter run over a whole batch, which is cheaper than
     # taking one graph through every phase; a batch is never more than the
@@ -114,7 +128,8 @@ def candidate_blocks(
                     f"{graph6_path}: graph6 candidate {encode_graph6(g)} has "
                     f"n={g.n}, m={len(g.edges)}; expected ({n},{m})"
                 )
-        counts["candidates"] += len(batch)
+        if graph6_path is not None:
+            counts["candidates"] += len(batch)
         if reduced:
             batch = [g for g in batch if is_reduced(g)]
         counts["reduced"] += len(batch)

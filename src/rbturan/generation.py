@@ -28,6 +28,16 @@ level of many thousand graphs holds each pair once rather than once per
 graph, and a pickled chunk of them carries each pair once as well.  This
 is meant for desk scale (n <= 10); larger candidate sets come from graph6
 files produced by external generators.
+
+A ladder either keeps every level it builds, for callers that walk the
+levels, or is a degree window: it builds towards one target level M,
+keeps only its frontier, and drops every class that has no descendant of
+minimum degree >= d at M (see `LevelLadder._grow` for the rules and why
+they are sound).  Its target level is then exactly the min-degree >= d
+classes of the full level M, in the same labelling and order.  The number
+of all classes at a level is not read off a ladder but counted by
+`class_count`, which sums over the cycle types of S_n (Pólya/Burnside)
+and enumerates nothing.
 """
 
 from __future__ import annotations
@@ -223,22 +233,82 @@ def _graph_of_code(n: int, code: int) -> Graph:
     )
 
 
+def _partitions(n: int, top: int) -> list[tuple[int, ...]]:
+    """The partitions of n into parts of at most `top`, parts descending."""
+    if n == 0:
+        return [()]
+    return [(a,) + rest for a in range(min(n, top), 0, -1) for rest in _partitions(n - a, a)]
+
+
+def class_count(n: int, m: int) -> int:
+    """The number of isomorphism classes of graphs with n vertices and m
+    edges, counted without enumerating them (Harary & Palmer, "Graphical
+    Enumeration", 1973).
+
+    By Burnside's lemma it is the average over S_n of the number of m-edge
+    graphs a permutation fixes.  A permutation fixes exactly the edge sets
+    that are unions of its cycles on vertex pairs, and those cycles depend
+    only on its cycle type: a vertex cycle of length a splits its own pairs
+    into (a - 1) // 2 cycles of length a, plus one of length a/2 when a is
+    even, and two vertex cycles of lengths a and b share gcd(a, b) pair
+    cycles of length lcm(a, b).  So the sum runs over the partitions of n,
+    each weighted by the n!/z permutations of that type, in integers only.
+    """
+    from math import factorial, gcd
+
+    if m < 0 or m > n * (n - 1) // 2:
+        return 0
+    total = 0
+    for parts in _partitions(n, n):
+        lengths: list[int] = []
+        for i, a in enumerate(parts):
+            lengths += [a] * ((a - 1) // 2) + ([a // 2] if a % 2 == 0 else [])
+            for b in parts[i + 1 :]:
+                g = gcd(a, b)
+                lengths += [a * b // g] * g
+        # fixed[e]: the unions of pair cycles with e pairs in all
+        fixed = [1] + [0] * m
+        for length in lengths:
+            for e in range(m, length - 1, -1):
+                fixed[e] += fixed[e - length]
+        # z = prod over part sizes a of a^c * c!, c the parts of size a
+        z = 1
+        for a in set(parts):
+            c = parts.count(a)
+            z *= a**c * factorial(c)
+        total += factorial(n) // z * fixed[m]
+    return total // factorial(n)
+
+
 class LevelLadder:
-    """All isomorphism classes of graphs on exactly n labeled-id vertices,
+    """Isomorphism classes of graphs on exactly n labeled-id vertices,
     grouped by edge count and built on demand by canonical augmentation.
     Each level lists its classes in canonical labelling, sorted by
-    canonical code."""
+    canonical code.
 
-    def __init__(self, n: int):
+    `LevelLadder(n)` is the full ladder: it keeps every level it builds,
+    and `level(m)` gives all classes with m edges.  With a `target` level
+    M it is a degree window instead: it keeps only its frontier, prunes
+    with `min_degree` d (rules in `_grow`), and `level(M)` gives exactly
+    the classes of the full level M with minimum degree >= d, in the same
+    labelling and order; it builds no other level for a caller.
+    """
+
+    def __init__(self, n: int, *, target: int | None = None, min_degree: int = 0):
         if n < 0:
             raise GraphError(f"negative vertex count {n}")
         if n > CANONICAL_MAX_N:
             raise GraphError(
                 f"built-in enumeration caps at n <= {CANONICAL_MAX_N}, got {n}"
             )
+        if min_degree and target is None:
+            raise GraphError("a minimum degree needs a target level")
         self.n = n
+        self.target = target
+        self.min_degree = min_degree
         empty = Graph(n, ())
-        self._levels: list[list[Graph]] = [[empty]]
+        # rule C of _grow on level 0: the edgeless graph's deficit is n*d
+        self._levels: list[list[Graph]] = [[empty] if n * min_degree <= 2 * (target or 0) else []]
         # non-edge orbit representatives of the frontier level's classes,
         # as _non_edge_reps gives them; the edgeless graph has one orbit
         self._reps: dict[Graph, int] = {empty: 1 << 1 if n > 1 else 0}
@@ -246,6 +316,8 @@ class LevelLadder:
     def level(self, m: int) -> list[Graph]:
         if m < 0 or m > self.n * (self.n - 1) // 2:
             return []
+        if self.target is not None and m != self.target:
+            raise GraphError(f"a window ladder builds only its target level {self.target}, not {m}")
         while len(self._levels) <= m:
             self._grow()
         return self._levels[m]
@@ -260,9 +332,33 @@ class LevelLadder:
         edges with that invariant, the one whose image in the child's
         canonical labelling is the smallest pair.  Every class then has
         exactly one accepted parent class, so the level holds each class
-        once."""
-        n = self.n
+        once.
+
+        A window ladder (target M, minimum degree d) drops a child, before
+        labelling it, when either rule holds on its degrees:
+
+        A. Some vertex w has degree < d and some edge xy has both endpoint
+           degrees > d.  The first edge any descendant adds at w has
+           smaller endpoint degree <= d, while xy, still there, has a
+           smaller endpoint degree > d; degrees never fall.  The invariant
+           packing below puts the smaller endpoint degree first, so that
+           edge is never the largest and never accepted, and no
+           descendant reaches minimum degree d.  A change to the packing
+           must keep this.
+        C. The deficit, the sum of d - deg v over vertices of degree < d,
+           exceeds 2 (M - m - 1).  One edge lowers it by at most 2, so no
+           class at level M above this child has minimum degree d.
+
+        Neither rule drops an ancestor, on the construction path, of a
+        class at level M with minimum degree >= d, so the target level is
+        exactly those classes.  With d = 0 both rules are vacuous.  The
+        target level gets no orbit representatives, because nothing grows
+        from it, and a window keeps only its frontier."""
+        n, d = self.n, self.min_degree
         full = (1 << n) - 1
+        m = len(self._levels)  # edge count of the level being built
+        top = m == self.target
+        slack = 2 * (self.target - m) if d else 0
         children: list[tuple[int, int]] = []
         for parent in self._levels[-1]:
             padj = parent.masks()
@@ -278,6 +374,16 @@ class LevelLadder:
                 deg = pdeg[:]
                 deg[u] += 1
                 deg[v] += 1
+                if d:
+                    deficit = sum(d - x for x in deg if x < d)
+                    if deficit > slack or (
+                        deficit
+                        and (
+                            deg[u] > d and deg[v] > d
+                            or any(deg[x] > d and deg[y] > d for x, y in parent.edges)
+                        )
+                    ):
+                        continue
                 # edge invariant: (smaller endpoint degree, larger endpoint
                 # degree, common-neighbour count) packed into one int;
                 # degrees stay below 16 for n <= 10
@@ -302,11 +408,13 @@ class LevelLadder:
                         pos[w] = i
                     if ties:
                         ties.append((u, v))
-                        d = min(ties, key=lambda e: sorted((pos[e[0]], pos[e[1]])))
-                        if d != (u, v) and (u, v) not in _orbit(gens, *d):
+                        best = min(ties, key=lambda e: sorted((pos[e[0]], pos[e[1]])))
+                        if best != (u, v) and (u, v) not in _orbit(gens, *best):
                             continue
-                    children.append((code, _non_edge_reps(adj, pos, gens)))
+                    children.append((code, 0 if top else _non_edge_reps(adj, pos, gens)))
         children.sort()
         level = [_graph_of_code(n, code) for code, _ in children]
         self._reps = {g: reps for g, (_, reps) in zip(level, children)}
+        if self.target is not None:
+            self._levels[-1] = []
         self._levels.append(level)

@@ -289,6 +289,8 @@ def test_graph6_source_roundtrip(tmp_path):
     builtin = run_level(6, 10, 5, reduced=True)
     assert via_file.status == "PASS"
     assert via_file.digest == builtin.digest
+    # read from the file or counted by class_count over a degree window
+    assert via_file.counts == builtin.counts
     assert via_file.source == f"graph6:{path}"
 
 

@@ -13,6 +13,7 @@ from rbturan.generation import (
     _canonical_code,
     _graph_of_code,
     canonical_form,
+    class_count,
 )
 from rbturan.graphs import Graph, GraphError, build_graph
 from rbturan.planarity import is_planar
@@ -33,6 +34,9 @@ LEVEL_COUNTS_9 = [1, 1, 2, 5, 11, 25, 63, 148, 345, 771, 1637, 3252, 5995]
 # graphs with m edges and no isolated vertices
 EDGE_COUNTS = [1, 1, 2, 5, 11, 26, 68, 177]
 
+# graphs on n = 0..10 vertices (OEIS A000088)
+GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168]
+
 
 def test_level_counts_match_reference_tables():
     for n, want in LEVEL_COUNTS.items():
@@ -50,6 +54,50 @@ def test_level_counts_n8_prefix():
 def test_level_counts_n9_prefix():
     ladder = LevelLadder(9)
     assert [len(ladder.level(m)) for m in range(13)] == LEVEL_COUNTS_9
+
+
+def test_class_count_is_the_number_of_classes():
+    """Pólya counting, which enumerates nothing, agrees with the
+    reference tables, with the ladder at every level for n <= 7, and with
+    the totals of A000088 for n <= 10; a level beyond the complete graph
+    or below the empty one has no class."""
+    for n, want in LEVEL_COUNTS.items():
+        assert [class_count(n, m) for m in range(len(want))] == want
+    assert [class_count(9, m) for m in range(len(LEVEL_COUNTS_9))] == LEVEL_COUNTS_9
+    for n in range(8):
+        ladder = LevelLadder(n)
+        for m in range(n * (n - 1) // 2 + 1):
+            assert class_count(n, m) == len(ladder.level(m)), (n, m)
+    totals = [sum(class_count(n, m) for m in range(n * (n - 1) // 2 + 1)) for n in range(11)]
+    assert totals == GRAPH_COUNTS
+    assert class_count(4, 7) == class_count(4, -1) == 0
+
+
+def test_window_target_level_is_the_min_degree_filtered_full_level():
+    """A degree window's target level is the full level filtered to
+    minimum degree >= d, as a list: same classes, labelling and order.
+    A rule A that fires at >= d, or a rule C without its factor 2, drops
+    some of them and fails this."""
+    for n in range(1, 8):
+        full = LevelLadder(n)
+        for m in range(n * (n - 1) // 2 + 1):
+            want = [g for g in full.level(m) if min(g.degrees()) >= 2]
+            assert LevelLadder(n, target=m, min_degree=2).level(m) == want, (n, m)
+    want = [g for g in LevelLadder(8).level(13) if min(g.degrees()) >= 2]
+    window = LevelLadder(8, target=13, min_degree=2)
+    assert window.level(13) == want
+    # it kept only its frontier, and gave the target no orbit representatives
+    assert window._levels[:-1] == [[]] * 13
+    assert set(window._reps.values()) == {0}
+
+
+def test_window_builds_only_its_target_level():
+    window = LevelLadder(5, target=6, min_degree=2)
+    with pytest.raises(GraphError, match="only its target level 6"):
+        window.level(5)
+    assert window.level(11) == []
+    with pytest.raises(GraphError, match="needs a target"):
+        LevelLadder(5, min_degree=2)
 
 
 @pytest.mark.filterwarnings("ignore:The hashes produced")
