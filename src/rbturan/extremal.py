@@ -111,7 +111,7 @@ def candidate_blocks(
             f"supply --from-graph6 for n={n}"
         )
     elif reduced:  # the reduced classes lie among those of minimum degree >= 2
-        source = iter(LevelLadder(n, target=m, min_degree=2).level(m))
+        source = iter(LevelLadder(n, target=m).level(m))
     else:
         source = iter(_ladder(n).level(m))
     counts.update(

@@ -32,8 +32,8 @@ files produced by external generators.
 A ladder either keeps every level it builds, for callers that walk the
 levels, or is a degree window: it builds towards one target level M,
 keeps only its frontier, and drops every class that has no descendant of
-minimum degree >= d at M (see `LevelLadder._grow` for the rules and why
-they are sound).  Its target level is then exactly the min-degree >= d
+minimum degree >= d = WINDOW_MIN_DEGREE at M (see `LevelLadder._grow`
+for the rules and why they are sound).  Its target level is then exactly the min-degree >= d
 classes of the full level M, in the same labelling and order.  The number
 of all classes at a level is not read off a ladder but counted by
 `class_count`, which sums over the cycle types of S_n (Pólya/Burnside)
@@ -42,11 +42,16 @@ and enumerates nothing.
 
 from __future__ import annotations
 
+from math import factorial, gcd
 from typing import Sequence
 
 from .graphs import Graph, GraphError
 
 CANONICAL_MAX_N = 10
+
+# the minimum degree d a degree window keeps at its target level: a reduced
+# graph has minimum degree >= 2
+WINDOW_MIN_DEGREE = 2
 
 
 def _refine(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]:
@@ -254,8 +259,6 @@ def class_count(n: int, m: int) -> int:
     cycles of length lcm(a, b).  So the sum runs over the partitions of n,
     each weighted by the n!/z permutations of that type, in integers only.
     """
-    from math import factorial, gcd
-
     if m < 0 or m > n * (n - 1) // 2:
         return 0
     total = 0
@@ -289,35 +292,34 @@ class LevelLadder:
     `LevelLadder(n)` is the full ladder: it keeps every level it builds,
     and `level(m)` gives all classes with m edges.  With a `target` level
     M it is a degree window instead: it keeps only its frontier, prunes
-    with `min_degree` d (rules in `_grow`), and `level(M)` gives exactly
-    the classes of the full level M with minimum degree >= d, in the same
-    labelling and order; it builds no other level for a caller.
+    with d = WINDOW_MIN_DEGREE (rules in `_grow`), and `level(M)` gives
+    exactly the classes of the full level M with minimum degree >= d, in
+    the same labelling and order; it gives no other level.
     """
 
-    def __init__(self, n: int, *, target: int | None = None, min_degree: int = 0):
+    def __init__(self, n: int, *, target: int | None = None):
         if n < 0:
             raise GraphError(f"negative vertex count {n}")
         if n > CANONICAL_MAX_N:
             raise GraphError(
                 f"built-in enumeration caps at n <= {CANONICAL_MAX_N}, got {n}"
             )
-        if min_degree and target is None:
-            raise GraphError("a minimum degree needs a target level")
         self.n = n
         self.target = target
-        self.min_degree = min_degree
         empty = Graph(n, ())
         # rule C of _grow on level 0: the edgeless graph's deficit is n*d
-        self._levels: list[list[Graph]] = [[empty] if n * min_degree <= 2 * (target or 0) else []]
+        self._levels: list[list[Graph]] = [
+            [empty] if target is None or n * WINDOW_MIN_DEGREE <= 2 * target else []
+        ]
         # non-edge orbit representatives of the frontier level's classes,
         # as _non_edge_reps gives them; the edgeless graph has one orbit
         self._reps: dict[Graph, int] = {empty: 1 << 1 if n > 1 else 0}
 
     def level(self, m: int) -> list[Graph]:
+        if self.target is not None and m != self.target:
+            raise GraphError(f"a window ladder gives only its target level {self.target}, not {m}")
         if m < 0 or m > self.n * (self.n - 1) // 2:
             return []
-        if self.target is not None and m != self.target:
-            raise GraphError(f"a window ladder builds only its target level {self.target}, not {m}")
         while len(self._levels) <= m:
             self._grow()
         return self._levels[m]
@@ -334,8 +336,8 @@ class LevelLadder:
         exactly one accepted parent class, so the level holds each class
         once.
 
-        A window ladder (target M, minimum degree d) drops a child, before
-        labelling it, when either rule holds on its degrees:
+        A window ladder (target M, d = WINDOW_MIN_DEGREE) drops a child,
+        before labelling it, when either rule holds on its degrees:
 
         A. Some vertex w has degree < d and some edge xy has both endpoint
            degrees > d.  The first edge any descendant adds at w has
@@ -351,14 +353,14 @@ class LevelLadder:
 
         Neither rule drops an ancestor, on the construction path, of a
         class at level M with minimum degree >= d, so the target level is
-        exactly those classes.  With d = 0 both rules are vacuous.  The
+        exactly those classes.  The full ladder applies neither rule.  The
         target level gets no orbit representatives, because nothing grows
         from it, and a window keeps only its frontier."""
-        n, d = self.n, self.min_degree
+        n, d = self.n, WINDOW_MIN_DEGREE
+        window = self.target is not None
         full = (1 << n) - 1
         m = len(self._levels)  # edge count of the level being built
         top = m == self.target
-        slack = 2 * (self.target - m) if d else 0
         children: list[tuple[int, int]] = []
         for parent in self._levels[-1]:
             padj = parent.masks()
@@ -374,9 +376,9 @@ class LevelLadder:
                 deg = pdeg[:]
                 deg[u] += 1
                 deg[v] += 1
-                if d:
+                if window:
                     deficit = sum(d - x for x in deg if x < d)
-                    if deficit > slack or (
+                    if deficit > 2 * (self.target - m) or (
                         deficit
                         and (
                             deg[u] > d and deg[v] > d
@@ -415,6 +417,6 @@ class LevelLadder:
         children.sort()
         level = [_graph_of_code(n, code) for code, _ in children]
         self._reps = {g: reps for g, (_, reps) in zip(level, children)}
-        if self.target is not None:
+        if window:
             self._levels[-1] = []
         self._levels.append(level)

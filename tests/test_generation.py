@@ -82,22 +82,20 @@ def test_window_target_level_is_the_min_degree_filtered_full_level():
         full = LevelLadder(n)
         for m in range(n * (n - 1) // 2 + 1):
             want = [g for g in full.level(m) if min(g.degrees()) >= 2]
-            assert LevelLadder(n, target=m, min_degree=2).level(m) == want, (n, m)
+            assert LevelLadder(n, target=m).level(m) == want, (n, m)
     want = [g for g in LevelLadder(8).level(13) if min(g.degrees()) >= 2]
-    window = LevelLadder(8, target=13, min_degree=2)
+    window = LevelLadder(8, target=13)
     assert window.level(13) == want
     # it kept only its frontier, and gave the target no orbit representatives
     assert window._levels[:-1] == [[]] * 13
     assert set(window._reps.values()) == {0}
 
 
-def test_window_builds_only_its_target_level():
-    window = LevelLadder(5, target=6, min_degree=2)
-    with pytest.raises(GraphError, match="only its target level 6"):
-        window.level(5)
-    assert window.level(11) == []
-    with pytest.raises(GraphError, match="needs a target"):
-        LevelLadder(5, min_degree=2)
+def test_window_gives_only_its_target_level():
+    window = LevelLadder(5, target=6)
+    for m in (5, 11):
+        with pytest.raises(GraphError, match="only its target level 6"):
+            window.level(m)
 
 
 @pytest.mark.filterwarnings("ignore:The hashes produced")
