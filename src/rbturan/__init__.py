@@ -29,6 +29,7 @@ from .colorer import (
     UNSAT,
     SearchOutcome,
     find_coloring,
+    find_colorings,
     iter_coloring_classes,
     oracle_enumerate,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "encode_colored",
     "encode_graph6",
     "find_coloring",
+    "find_colorings",
     "find_rainbow_path",
     "is_planar",
     "is_proper",

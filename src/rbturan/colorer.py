@@ -24,15 +24,37 @@ the order of the paths in a bucket never matters and none is ever moved.
 The arms use only positions below j, so the fold stays valid while the
 search tries further colors at j after backtracking.
 
-One engine, `_Searcher.solutions`, yields the canonical solutions in
-search order.  It runs in first mode (`find_coloring` takes the first
-solution: SAT with a certificate, or UNSAT / BUDGET_EXCEEDED once the
-engine is exhausted) or in all mode (`iter_coloring_classes` drains it).
+The graphs of a level are searched together.  The search at position j
+depends on the positions up to j only through how their edges meet, so
+each graph's static order, with its vertices renamed by first occurrence
+along it, gives a key of two names per position, and graphs whose keys
+agree through position j take the same steps up to j.  A group of graphs
+with one number of edges sorts its keys into a prefix trie: a node is the
+run of members that share its prefix, and its bucket is built once for
+all of them.  One depth-first walk over (trie node, partial coloring)
+tries the colors at a node, then at its next sibling under the same
+colors.  A member's own search is the walk restricted to its path, so
+its nodes are the color tries made at the nodes of its path.  A member
+that reaches a complete coloring is SAT, with the tries on the stack at
+that moment and a certificate read through its own static order; it
+then leaves the walk, which enters no node whose members have all left.
+So every member's status, nodes and certificate are those of its own
+search.  A node budget bounds the tries of one graph, so a budgeted
+search takes its graphs one at a time, each a group of one.
+
+One engine, `_Group.walk`, yields the canonical solutions in search
+order.  It runs in first mode (`find_colorings`, and `find_coloring` as
+a group of one: members leave at their first solution, and the rest are
+UNSAT, or BUDGET_EXCEEDED, once the walk ends) or in all mode
+(`iter_coloring_classes` drains it for a group of one and retires
+nobody).  The walk is iterative and only the bucket walk recurses, k-2
+deep, so the depth of the search is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from .graphs import ColoredGraph, Graph, GraphError, normalize_colors
@@ -46,11 +68,11 @@ class OracleSizeError(GraphError):
     """Input too large for the naive enumeration oracle."""
 
 
-# (mask of all paths, column of the paths using each earlier position)
-Bucket = tuple[int, list[int]]
+# the column of the paths using each earlier position
+Bucket = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchOutcome:
     status: str  # SAT | UNSAT | BUDGET_EXCEEDED
     certificate: ColoredGraph | None
@@ -70,105 +92,204 @@ def _order_positions(g: Graph) -> list[int]:
     return [i for _, i in keys]
 
 
-class _Searcher:
-    """The search over one graph: static edge order, lazy bit-sliced path
-    buckets and the engine that yields canonical solutions."""
+def _key(g: Graph) -> list[int]:
+    """The endpoints of g's edges in static order, two per position, with
+    the vertices renamed 0, 1, ... by first occurrence along that order
+    and each edge's smaller name first.  The search at a position depends
+    on the positions up to it only through this prefix."""
+    names = [-1] * g.n
+    key: list[int] = []
+    count = 0
+    edges = g.edges
+    for i in _order_positions(g):
+        u, v = edges[i]
+        a = names[u]
+        if a < 0:
+            a = names[u] = count
+            count += 1
+        b = names[v]
+        if b < 0:
+            b = names[v] = count
+            count += 1
+        key += (a, b) if a < b else (b, a)
+    return key
 
-    def __init__(self, g: Graph, k: int, max_colors: int | None):
+
+def _arms(
+    nbrs: list[list[tuple[int, int]]],
+    cols: list[int],
+    b: int,
+    v: int,
+    seen: int,
+    need: int,
+    count: int,
+    on_left: bool,
+) -> int:
+    """Grow an arm from v by `need` more edges (see `_bucket`); returns the
+    number of paths completed so far."""
+    if on_left:
+        count = _arms(nbrs, cols, b, b, seen, need, count, False)
+    for p, w in nbrs[v]:
+        bit = 1 << w
+        if seen & bit:
+            continue
+        if need == 1:
+            cols[p] |= 1 << count
+            count += 1
+        else:
+            start = count
+            count = _arms(nbrs, cols, b, w, seen | bit, need - 1, count, on_left)
+            if count > start:
+                cols[p] |= ((1 << (count - start)) - 1) << start
+    return count
+
+
+def _bucket(endpoints: list[tuple[int, int]], k: int) -> Bucket:
+    """The k-vertex paths whose last-colored edge is the last of
+    `endpoints`, at position j = len(endpoints) - 1, bit-sliced: per
+    position p below j, the column of the paths that use the edge at p.
+    Path i is bit i; each path has k-2 >= 1 edges besides the one at j,
+    so the columns' union is every path, and a position that ends no
+    path has the empty tuple.
+
+    Each path is the edge (a, b) at j with a left arm from a and a right
+    arm from b, vertex-disjoint, k-2 edges in all, every edge at a
+    position below j.  One walk builds both: it grows the left arm, and
+    at each vertex of it first hands the edges still needed over to a
+    right arm from b.  Fixing which end of the edge is a makes each path
+    come out exactly once.  The walk numbers the paths in the order it
+    completes them, so the paths that extend one partial arm are a run of
+    consecutive bits, set in one operation."""
+    j = len(endpoints) - 1
+    a, b = endpoints[j]
+    # (position, neighbour) per vertex, positions ascending
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(1 + max(map(max, endpoints)))]
+    for p in range(j):
+        u, v = endpoints[p]
+        nbrs[u].append((p, v))
+        nbrs[v].append((p, u))
+    cols = [0] * j
+    count = _arms(nbrs, cols, b, a, (1 << a) | (1 << b), k - 2, 0, True)
+    return tuple(cols) if count else ()
+
+
+def _colored(g: Graph, order: list[int], colors_by_pos: list[int]) -> ColoredGraph:
+    """g colored by position in its static order."""
+    by_edge = [0] * len(order)
+    for j, ei in enumerate(order):
+        by_edge[ei] = colors_by_pos[j]
+    return normalize_colors(ColoredGraph(g, tuple(by_edge)))
+
+
+class _Group:
+    """Graphs with the same number of edges m, searched together.
+
+    Members are the graphs sorted by key (see `_key`), numbered by slot.
+    A trie node at depth j+1 stands for the members whose keys agree
+    through position j, a run of slots from lo[node] up to hi[node], and
+    holds the edge at j.  Node 0 is the root.  A node's children are the
+    nodes first[node] up to last[node], made in key order the first time
+    the walk descends below it, so the long tails of single members that
+    the search never reaches are never made.  Every field is a flat list
+    indexed by node; a bucket is built the first time the walk enters its
+    node."""
+
+    def __init__(self, graphs: list[Graph], k: int, max_colors: int | None):
         if k < 3:
             raise GraphError(f"coloring search needs k >= 3, got k={k}")
         if max_colors is not None and max_colors < 1:
             raise GraphError(f"max_colors must be positive, got {max_colors}")
-        self.g = g
+        m = len(graphs[0].edges)
+        if any(len(g.edges) != m for g in graphs):
+            raise GraphError("a group search needs graphs with the same number of edges")
+        self.graphs = graphs
         self.k = k
-        m = len(g.edges)
         self.m = m
+        self.n = max(g.n for g in graphs)
         self.max_colors = m if max_colors is None else max_colors
-        self.order = _order_positions(g)
-        self.endpoints = [g.edges[i] for i in self.order]
-        # (position, neighbour) per vertex; positions ascend because the
-        # pairs are appended in position order.
-        self.nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for j, (u, v) in enumerate(self.endpoints):
-            self.nbrs[u].append((j, v))
-            self.nbrs[v].append((j, u))
-        self._buckets: list[Bucket | None] = [None] * m
-        self.nodes = 0
+        # names stay below 2m, so up to 128 edges a key fits in bytes, and
+        # past that a tuple holds any name.  Bytes keep the level searches
+        # compact: one array("H") for every size, tried instead, raised the
+        # peak RSS of refuting the shuffled (9,14) file by 0.18 MB
+        pack = bytes if m <= 128 else tuple
+        keys = [pack(_key(g)) for g in graphs]
+        self.members = sorted(range(len(graphs)), key=keys.__getitem__)  # input index by slot
+        # every key in one sequence, slot after slot
+        self.keys = pack(chain.from_iterable(keys[i] for i in self.members))
+        self.eu, self.ev = [0], [0]
+        self.lo, self.hi = [0], [len(graphs)]
+        self.first, self.last = [0], [0]
+        self.alive = [len(graphs)]
+        self.tries = [0]
+        self.buckets: list[Bucket | None] = [None]
+        self.status = UNSAT
 
-    def bucket(self, j: int) -> Bucket:
-        """The k-vertex paths whose last-colored edge is the one at position
-        j, bit-sliced: the mask of all paths and, per position p below j,
-        the column of the paths that use the edge at p.  Path i is bit i;
-        each path has k-2 edges besides the one at j.  Built the first time
-        the search reaches j, then cached.
+    def _expand(self, node: int, j: int) -> int:
+        """Make the children of node, whose edges are at position j; returns
+        the first."""
+        keys, eu, ev, lo, hi = self.keys, self.eu, self.ev, self.lo, self.hi
+        stride = 2 * self.m
+        self.first[node] = len(eu)
+        slot, end = lo[node], hi[node]
+        while slot < end:
+            at = slot * stride + 2 * j
+            a, b = keys[at], keys[at + 1]
+            start = slot
+            slot += 1
+            at += stride
+            while slot < end and keys[at] == a and keys[at + 1] == b:
+                slot += 1
+                at += stride
+            eu.append(a)
+            ev.append(b)
+            lo.append(start)
+            hi.append(slot)
+            # no member below node has reached a leaf yet
+            self.alive.append(slot - start)
+        count = len(eu)
+        grown = count - len(self.first)
+        self.first += [0] * grown
+        self.last += [0] * grown
+        self.tries += [0] * grown
+        self.buckets += [None] * grown
+        self.last[node] = count
+        return self.first[node]
 
-        Each path is the edge (a, b) at j with a left arm from a and a right
-        arm from b, vertex-disjoint, k-2 edges in all, every edge at a
-        position below j.  One walk builds both: it grows the left arm, and
-        at each vertex of it first hands the edges still needed over to a
-        right arm from b.  Fixing which end of the edge is a makes each
-        path come out exactly once.  The walk numbers the paths in the
-        order it completes them, so the paths that extend one partial arm
-        are a run of consecutive bits, set in one operation.  The search
-        folds the columns by the colors below j each time it enters j (see
-        the module docstring)."""
-        built = self._buckets[j]
-        if built is not None:
-            return built
-        a, b = self.endpoints[j]
-        nbrs = self.nbrs
-        cols = [0] * j
+    def walk(
+        self, retire: bool, node_budget: int | None = None
+    ) -> Iterator[tuple[int, list[int], int]]:
+        """Yield (leaf, colors by position, tries on the path) for each
+        canonical solution, in search order.  With `retire` the members at
+        the leaf leave the search after the yield, and it ends once none
+        is left; without it nobody leaves and the tries read 0, since
+        nothing is credited with them.
 
-        # returns the number of paths completed so far
-        def walk(v: int, seen: int, need: int, count: int, on_left: bool) -> int:
-            if on_left:
-                count = walk(b, seen, need, count, False)
-            for p, w in nbrs[v]:
-                if p >= j:
-                    break
-                bit = 1 << w
-                if seen & bit:
-                    continue
-                if need == 1:
-                    cols[p] |= 1 << count
-                    count += 1
-                else:
-                    start = count
-                    count = walk(w, seen | bit, need - 1, count, on_left)
-                    if count > start:
-                        cols[p] |= ((1 << (count - start)) - 1) << start
-            return count
-
-        count = walk(a, (1 << a) | (1 << b), self.k - 2, 0, True)
-        built = ((1 << count) - 1, cols)
-        self._buckets[j] = built
-        return built
-
-    def positions_to_colored(self, colors_by_pos: list[int]) -> ColoredGraph:
-        by_edge = [0] * self.m
-        for j, ei in enumerate(self.order):
-            by_edge[ei] = colors_by_pos[j]
-        return normalize_colors(ColoredGraph(self.g, tuple(by_edge)))
-
-    def solutions(self, node_budget: int | None = None) -> Iterator[list[int]]:
-        """Each canonical solution, as colors by position, in search order.
-
-        Once the generator is exhausted, self.status is UNSAT (every class
-        was reached) or BUDGET_EXCEEDED (the search stopped after
-        node_budget color assignments).  self.nodes counts the color
-        assignments tried so far; it is current at every yield."""
+        One depth-first search over (trie node, partial coloring): at
+        position j it tries the colors at the node on the stack, then at
+        the node's next sibling that still has a member, under the same
+        colors at 0..j-1.  A member's own search is this one restricted to
+        its path, so its nodes are the tries made at the nodes of that
+        path.  Once the generator is exhausted, self.status is UNSAT, or
+        BUDGET_EXCEEDED when it stopped after node_budget color
+        assignments, which counts every try of the group."""
         m = self.m
-        endpoints = self.endpoints
-        bucket = self.bucket
+        eu, ev, first, last, alive, tries, buckets = (
+            self.eu, self.ev, self.first, self.last, self.alive, self.tries, self.buckets
+        )
+        expand = self._expand
+        k = self.k
         max_colors = self.max_colors
         colors = [0] * m
-        used = [0] * self.g.n
+        used = [0] * self.n
         nodes = 0
 
         # Iterative depth-first search over positions; frame state is the
-        # next candidate color per position and the bucket fold made on
-        # entering it: the paths with no repeated arm color, and per color
-        # the paths whose arms use it.
+        # trie node, the next candidate color per position and the bucket
+        # fold made on entering the node: the paths with no repeated arm
+        # color, and per color the paths whose arms use it.
+        at = [0] * (m + 1)  # at[j + 1]: the node whose edge is at position j
+        if m:
+            at[1] = expand(0, 0)
         next_color = [1] * (m + 1)
         max_used = [0] * (m + 1)
         live_at = [0] * m
@@ -176,60 +297,126 @@ class _Searcher:
         j = 0
         while True:
             if j == m:
-                self.nodes = nodes
-                yield colors[:]
+                if retire:
+                    yield at[m], colors[:], sum([tries[t] for t in at])
+                    gone = alive[at[m]]
+                    for t in at:
+                        alive[t] -= gone
+                    if not alive[0]:
+                        return
+                else:
+                    yield at[m], colors[:], 0
             else:
-                u, v = endpoints[j]
-                forbid = used[u] | used[v]
-                if next_color[j] == 1:
-                    every, cols = bucket(j)
-                    once: dict[int, int] = {}
-                    twice = 0
-                    if every:
+                node = at[j + 1]
+                if alive[node]:
+                    u = eu[node]
+                    v = ev[node]
+                    forbid = used[u] | used[v]
+                    if next_color[j] == 1:
+                        cols = buckets[node]
+                        if cols is None:
+                            cols = buckets[node] = _bucket(
+                                [(eu[t], ev[t]) for t in at[1 : j + 2]], k
+                            )
+                        once: dict[int, int] = {}
+                        twice = every = 0
                         for c, col in zip(colors, cols):
                             if col:
                                 seen = once.get(c, 0)
                                 twice |= seen & col
                                 once[c] = seen | col
-                    live_at[j] = live = every & ~twice
-                    once_at[j] = once
-                else:
-                    live = live_at[j]
-                    once = once_at[j]
-                limit = max_colors if max_used[j] >= max_colors else max_used[j] + 1
-                c = next_color[j]
-                advanced = False
-                while c <= limit:
-                    bit = 1 << c
-                    if not forbid & bit:
-                        nodes += 1
-                        if node_budget is not None and nodes > node_budget:
-                            self.nodes, self.status = nodes, BUDGET_EXCEEDED
-                            return
-                        # a live path that avoids c would turn rainbow
-                        if not live & ~once.get(c, 0):
-                            colors[j] = c
-                            used[u] = used[u] | bit
-                            used[v] = used[v] | bit
-                            next_color[j] = c + 1
-                            j += 1
-                            next_color[j] = 1
-                            max_used[j] = max_used[j - 1] if c <= max_used[j - 1] else c
-                            advanced = True
-                            break
-                    c += 1
-                if advanced:
+                        for seen in once.values():
+                            every |= seen
+                        live_at[j] = live = every & ~twice
+                        once_at[j] = once
+                    else:
+                        live = live_at[j]
+                        once = once_at[j]
+                    limit = max_colors if max_used[j] >= max_colors else max_used[j] + 1
+                    c = next_color[j]
+                    start = nodes
+                    advanced = False
+                    while c <= limit:
+                        bit = 1 << c
+                        if not forbid & bit:
+                            nodes += 1
+                            if node_budget is not None and nodes > node_budget:
+                                tries[node] += nodes - start
+                                self.status = BUDGET_EXCEEDED
+                                return
+                            # a live path that avoids c would turn rainbow
+                            if not live & ~once.get(c, 0):
+                                colors[j] = c
+                                used[u] = used[u] | bit
+                                used[v] = used[v] | bit
+                                next_color[j] = c + 1
+                                j += 1
+                                next_color[j] = 1
+                                max_used[j] = max_used[j - 1] if c <= max_used[j - 1] else c
+                                advanced = True
+                                break
+                        c += 1
+                    tries[node] += nodes - start
+                    if advanced:
+                        if j < m:  # on to the first child
+                            at[j + 1] = first[node] or expand(node, j)
+                        continue
+                # no color left at this node, or no member: its next sibling
+                # with a member, under the same colors
+                sibling = node + 1
+                stop = last[at[j]]
+                while sibling < stop and not alive[sibling]:
+                    sibling += 1
+                if sibling < stop:
+                    at[j + 1] = sibling
+                    next_color[j] = 1
                     continue
-            # no color left at position j, or a solution was just yielded:
+            # no sibling left at position j, or a solution was just yielded:
             # backtrack
             j -= 1
             if j < 0:
-                self.nodes, self.status = nodes, UNSAT
                 return
-            u, v = endpoints[j]
+            node = at[j + 1]
             bit = 1 << colors[j]
-            used[u] &= ~bit
-            used[v] &= ~bit
+            used[eu[node]] &= ~bit
+            used[ev[node]] &= ~bit
+
+    def outcomes(self, node_budget: int | None = None) -> list[SearchOutcome]:
+        """Run the walk in first mode: the outcome of each graph, in input
+        order.  A SAT member's nodes are the tries on the stack when it
+        reached its first solution; every other member's are the tries on
+        its path once the walk ends, none below the last node made on it."""
+        graphs, lo, hi, members = self.graphs, self.lo, self.hi, self.members
+        found: list[SearchOutcome | None] = [None] * len(graphs)
+        for leaf, colors, nodes in self.walk(True, node_budget):
+            for slot in range(lo[leaf], hi[leaf]):
+                g = graphs[members[slot]]
+                cert = _colored(g, _order_positions(g), colors)
+                found[members[slot]] = SearchOutcome(SAT, cert, nodes)
+        # tries on the path to each node; children are made after parents
+        first, last = self.first, self.last
+        total = self.tries[:]
+        for node in range(len(total)):
+            if first[node] == last[node]:  # a leaf, or a node never expanded
+                for slot in range(lo[node], hi[node]):
+                    if found[members[slot]] is None:
+                        found[members[slot]] = SearchOutcome(self.status, None, total[node])
+            for child in range(first[node], last[node]):
+                total[child] += total[node]
+        return found  # type: ignore[return-value]
+
+
+def find_colorings(
+    graphs: list[Graph], k: int, node_budget: int | None = None
+) -> list[SearchOutcome]:
+    """`find_coloring` with the default color bound on each of graphs,
+    which share one number of edges, in one search over their shared
+    position prefixes; the outcomes, in input order, equal the
+    graph-by-graph ones.  A node budget holds for each graph on its own,
+    so a budgeted call searches the graphs one by one."""
+    if node_budget is not None:
+        return [_Group([g], k, None).outcomes(node_budget)[0] for g in graphs]
+    return _Group(graphs, k, None).outcomes() if graphs else []
 
 
 def find_coloring(
@@ -242,19 +429,15 @@ def find_coloring(
     colors (default e(g), which makes UNSAT unconditional) and no rainbow
     P_k.  Budget exhaustion is reported as BUDGET_EXCEEDED, never UNSAT.
     """
-    searcher = _Searcher(g, k, max_colors)
-    colors = next(searcher.solutions(node_budget), None)
-    if colors is None:
-        return SearchOutcome(searcher.status, None, searcher.nodes)
-    return SearchOutcome(SAT, searcher.positions_to_colored(colors), searcher.nodes)
+    return _Group([g], k, max_colors).outcomes(node_budget)[0]
 
 
 def iter_coloring_classes(g: Graph, k: int) -> list[ColoredGraph]:
     """All color-renaming classes of proper rainbow-P_k-free colorings
     with any number of colors, each as its canonical (first-occurrence
     over canonical edge order) representative, sorted for determinism."""
-    searcher = _Searcher(g, k, None)
-    reps = [searcher.positions_to_colored(sol) for sol in searcher.solutions()]
+    order = _order_positions(g)
+    reps = [_colored(g, order, colors) for _, colors, _ in _Group([g], k, None).walk(False)]
     reps.sort(key=lambda cg: cg.colors)
     return reps
 

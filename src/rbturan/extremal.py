@@ -37,7 +37,7 @@ from multiprocessing import get_context
 from typing import Any, Iterator
 
 from .codec import colored_to_doc, encode_graph6, read_graph6_file
-from .colorer import BUDGET_EXCEEDED, SAT, UNSAT, find_coloring
+from .colorer import BUDGET_EXCEEDED, SAT, UNSAT, find_colorings
 from .constructions import FAMILY_TABLE, make, validate_construction
 from .generation import LevelLadder, class_count
 from .graphs import ColoredGraph, Graph, GraphError
@@ -182,18 +182,17 @@ class LevelReport:
 
 
 def _solve_chunk(payload: tuple) -> list[tuple[str, int, tuple[int, ...] | None]]:
-    """Worker: run the coloring search on one chunk of candidates.
+    """Worker: run the coloring search on one chunk of candidates, as one
+    group (see `colorer.find_colorings`).
 
     Returns (status, nodes, certificate colors or None) per graph, in
     chunk order.
     """
     graphs, k, node_budget = payload
-    out = []
-    for g in graphs:
-        outcome = find_coloring(g, k, node_budget=node_budget)
-        cert = outcome.certificate.colors if outcome.sat else None
-        out.append((outcome.status, outcome.nodes, cert))
-    return out
+    return [
+        (out.status, out.nodes, out.certificate.colors if out.sat else None)
+        for out in find_colorings(graphs, k, node_budget=node_budget)
+    ]
 
 
 def _pool(processes: int):

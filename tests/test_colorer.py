@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -10,14 +12,18 @@ from rbturan.colorer import (
     BUDGET_EXCEEDED,
     UNSAT,
     OracleSizeError,
-    _Searcher,
+    _bucket,
+    _key,
+    _order_positions,
     find_coloring,
+    find_colorings,
     iter_coloring_classes,
     oracle_enumerate,
 )
 from rbturan.constructions import double_wheel
 from rbturan.generation import LevelLadder
 from rbturan.graphs import GraphError, build_graph, is_proper
+from rbturan.planarity import is_planar
 from rbturan.rainbow import find_rainbow_path
 
 from helpers import enumerate_candidates, relabel
@@ -182,13 +188,15 @@ def _brute_force_paths(g, k):
     return paths
 
 
-def _bucket_paths(searcher, j):
+def _bucket_paths(endpoints, j, k):
     """The paths of the bit-sliced bucket at position j, each as the list
     of positions whose column holds its bit."""
-    every, cols = searcher.bucket(j)
-    assert len(cols) == j
+    cols = _bucket(endpoints[: j + 1], k)
+    assert len(cols) == j or cols == ()
+    every = 0
+    for col in cols:
+        every |= col
     assert every & (every + 1) == 0  # paths are the bits 0 .. count-1
-    assert all(col & ~every == 0 for col in cols)
     return [
         [p for p, col in enumerate(cols) if col >> i & 1]
         for i in range(every.bit_length())
@@ -196,23 +204,26 @@ def _bucket_paths(searcher, j):
 
 
 def test_buckets_hold_every_path_once_at_its_largest_position():
+    # buckets are built from the renamed key, and their positions read
+    # back through the static order must give every path of g once; they
+    # take no color bound, so a search with fewer than k - 1 colors, where
+    # no path can turn rainbow, still checks every path
     ladder = LevelLadder(6)
     for m in range(16):
         for g in ladder.level(m):
+            key = _key(g)
+            endpoints = list(zip(key[0::2], key[1::2]))
+            order = _order_positions(g)
             for k in (3, 4, 5, 6):
                 paths = _brute_force_paths(g, k)
-                # with fewer than k - 1 colors no path can turn rainbow, and
-                # the buckets still hold every path
-                for max_colors in (None, k - 2):
-                    searcher = _Searcher(g, k, max_colors)
-                    seen = Counter()
-                    for j in range(m):
-                        for path in _bucket_paths(searcher, j):
-                            assert len(path) == k - 2 and max(path) < j, (g, k, j, path)
-                            edges = [searcher.endpoints[p] for p in path]
-                            seen[frozenset(edges + [searcher.endpoints[j]])] += 1
-                    assert set(seen) == paths, (g, k, max_colors)
-                    assert set(seen.values()) <= {1}, (g, k, max_colors)
+                seen = Counter()
+                for j in range(m):
+                    for path in _bucket_paths(endpoints, j, k):
+                        assert len(path) == k - 2 and max(path) < j, (g, k, j, path)
+                        edges = [g.edges[order[p]] for p in path + [j]]
+                        seen[frozenset(edges)] += 1
+                assert set(seen) == paths, (g, k)
+                assert set(seen.values()) <= {1}, (g, k)
 
 
 def test_double_wheel_k8_search_tree_is_frozen():
@@ -228,3 +239,91 @@ def test_double_wheel_k8_search_tree_is_frozen():
     short = find_coloring(g, 8, node_budget=12287)
     assert short.status == BUDGET_EXCEEDED and short.certificate is None
     assert find_coloring(g, 8, node_budget=12288) == out
+
+
+def _planar_levels():
+    """Every planar (6,m) and (7,m) level, in ladder order."""
+    for n in (6, 7):
+        ladder = LevelLadder(n)
+        for m in range(3 * n - 5):
+            level = [g for g in ladder.level(m) if is_planar(g).planar]
+            if level:
+                yield level
+
+
+def test_group_search_equals_the_search_of_each_graph():
+    # a member's search is the group's restricted to its path, so status,
+    # nodes and the first certificate match the graph's own search, in
+    # any order, in any split into groups, and for a graph given twice
+    rng = random.Random(7)
+    sat = 0
+    for level in _planar_levels():
+        for k in (4, 5, 6):
+            alone = [find_coloring(g, k) for g in level]
+            sat += sum(out.sat for out in alone)
+            assert find_colorings(level, k) == alone
+            assert find_colorings(level[::-1], k) == alone[::-1]
+            cuts = sorted(rng.sample(range(1, len(level)), min(3, len(level) - 1)))
+            parts = [
+                find_colorings(level[a:b], k)
+                for a, b in zip([0] + cuts, cuts + [len(level)])
+            ]
+            assert [out for part in parts for out in part] == alone
+            twice = rng.randrange(len(level))
+            assert find_colorings(level + [level[twice]], k) == alone + [alone[twice]]
+    assert sat > 1000  # the check covers many first certificates
+
+
+def test_group_arguments():
+    assert find_colorings([], 5) == []
+    with pytest.raises(GraphError, match="same number of edges"):
+        find_colorings([K4, C4], 5)
+    with pytest.raises(GraphError):
+        find_colorings([K4, K4], 2)
+    # a budget holds per graph: K4 is SAT in 6 nodes and the bow tie
+    # UNSAT in 7, so a budget of 6 stops only the bow tie
+    full = find_colorings([K4, BOW_TIE], 4)
+    assert [(out.status, out.nodes) for out in full] == [("SAT", 6), (UNSAT, 7)]
+    capped = find_colorings([K4, BOW_TIE], 4, node_budget=6)
+    assert capped == [full[0], find_coloring(BOW_TIE, 4, node_budget=6)]
+    assert capped[1].status == BUDGET_EXCEEDED
+
+
+def test_search_leaves_no_reference_cycles():
+    # with the collector off, a cycle would outlive the search as garbage
+    level = [g for g in LevelLadder(7).level(10) if is_planar(g).planar]
+    rng = random.Random(3)
+    group = []
+    while len(group) < 1024:
+        g = rng.choice(level)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        group.append(relabel(g, perm))
+    gc.collect()
+    gc.disable()
+    try:
+        find_coloring(double_wheel(10).graph, 5)
+        outs = find_colorings(group, 5)
+        iter_coloring_classes(PRISM6, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert any(out.sat for out in outs) and not all(out.sat for out in outs)
+
+
+@pytest.mark.parametrize("length", [61, 200])
+def test_long_path_search_needs_no_deep_recursion(length):
+    # the search and its trie are iterative: a path is SAT in one try per
+    # edge within a few frames of its caller (past 128 edges the keys are
+    # tuples, not bytes)
+    g = build_graph(length + 1, [(i, i + 1) for i in range(length)])
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        out = find_coloring(g, 5)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.sat and out.nodes == length

@@ -10,7 +10,7 @@ import pytest
 
 from rbturan import codec, extremal
 from rbturan.codec import decode_graph6, encode_graph6
-from rbturan.colorer import SAT, UNSAT, find_coloring, oracle_enumerate
+from rbturan.colorer import BUDGET_EXCEEDED, SAT, UNSAT, find_coloring, oracle_enumerate
 from rbturan.constructions import validate_construction
 from rbturan.extremal import (
     compute_extremal,
@@ -273,6 +273,23 @@ def test_budget_poisons_level():
     lv = run_level(6, 10, 5, reduced=True, planar=True, node_budget=3)
     assert lv.status == "BUDGET"
     assert lv.counts["budget_exceeded"] > 0
+
+
+def test_budget_between_members_gives_each_graph_its_own_outcome():
+    # a budget holds per graph, so a level searched in groups gets the
+    # outcome each graph gets alone
+    graphs = [g for g in LevelLadder(6).level(9) if is_planar(g).planar]
+    alone = [find_coloring(g, 5) for g in graphs]
+    counts = sorted({out.nodes for out in alone})
+    budget = counts[len(counts) // 2]
+    assert counts[0] < budget < counts[-1]
+    outs = [find_coloring(g, 5, node_budget=budget) for g in graphs]
+    lv = run_level(6, 9, 5, reduced=False, node_budget=budget)
+    assert lv.nodes == sum(out.nodes for out in outs)
+    for status in (SAT, UNSAT, BUDGET_EXCEEDED):
+        assert lv.counts[status.lower()] == sum(out.status == status for out in outs) > 0
+    index = next(i for i, out in enumerate(outs) if out.sat)
+    assert lv.first_sat == (index, outs[index].certificate)
 
 
 def test_budget_propagates_to_extremal_status():
