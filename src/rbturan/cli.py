@@ -3,10 +3,11 @@
 One binary, subcommand style: detect, color, lemma, construct, extremal,
 refute, validate.  A subcommand returns its report and writes nothing;
 ``run`` writes it once: one JSON line to standard output (byte identical
-across runs, and across worker counts except for the echoed ``jobs`` in
-``config``), a human summary to standard error.  Exit status encodes the
-verdict: 0 pass / found as expected, 1 property fails or mismatch, 2 usage
-error, 3 search budget exceeded.
+across runs), a human summary to standard error.  ``--jobs`` is accepted
+and echoed in ``config`` but selects nothing: every search runs in this
+one process.  Exit status encodes the verdict: 0 pass / found as
+expected, 1 property fails or mismatch, 2 usage error, 3 search budget
+exceeded.
 
 Options can be overridden through RBTURAN_-prefixed environment
 variables (RBTURAN_JOBS, RBTURAN_BUDGET_NODES).
@@ -200,7 +201,6 @@ def _cmd_extremal(args) -> Report:
     rep = compute_extremal(
         args.n,
         args.k,
-        jobs=args.jobs,
         node_budget=args.budget_nodes,
         graph6_path=args.from_graph6,
     )
@@ -228,7 +228,6 @@ def _cmd_refute(args) -> Report:
         args.k,
         reduced=not args.no_reduced,
         planar=not args.no_planar,
-        jobs=args.jobs,
         node_budget=args.budget_nodes,
         graph6_path=args.from_graph6,
     )

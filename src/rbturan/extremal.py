@@ -1,7 +1,7 @@
 """Exhaustive computation of the planar rainbow path-avoidance extremal
 value: isomorph-free candidate enumeration, reduction and planarity
-filters, complete coloring search per candidate, parallel orchestration,
-and certified reporting.
+filters, complete coloring search per candidate, and certified
+reporting.
 
 A level (n, m) is *refuted* when every candidate surviving the filters is
 UNSAT.  Refuting with the reduction filter (minimum degree >= 2, no edge
@@ -28,12 +28,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import os
 from collections import Counter
-from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import islice
-from multiprocessing import get_context
 from typing import Any, Iterator
 
 from .codec import colored_to_doc, encode_graph6, read_graph6_file
@@ -46,7 +43,7 @@ from .planarity import is_planar, planar_edge_cap
 BUILTIN_MAX_N = 8
 # The most filtered candidates a level holds at once.  Every level of the
 # reduced chain up to BUILTIN_MAX_N is one block (the largest, (8,13), has
-# 600), so a chain level is still one pool map over all its candidates.
+# 600), so a chain level is searched as one group.
 BLOCK = 1024
 
 
@@ -181,29 +178,20 @@ class LevelReport:
         }
 
 
-def _solve_chunk(payload: tuple) -> list[tuple[str, int, tuple[int, ...] | None]]:
-    """Worker: run the coloring search on one chunk of candidates, as one
-    group (see `colorer.find_colorings`).
+# a function of its own because bench/tracing.py wraps it by name to time each block's search
+def _solve_chunk(
+    block: list[Graph], k: int, node_budget: int | None
+) -> list[tuple[str, int, tuple[int, ...] | None]]:
+    """Run the coloring search on one block of candidates, as one group
+    (see `colorer.find_colorings`).
 
     Returns (status, nodes, certificate colors or None) per graph, in
-    chunk order.
+    block order.
     """
-    graphs, k, node_budget = payload
     return [
         (out.status, out.nodes, out.certificate.colors if out.sat else None)
-        for out in find_colorings(graphs, k, node_budget=node_budget)
+        for out in find_colorings(block, k, node_budget=node_budget)
     ]
-
-
-def _pool(processes: int):
-    """A process pool of at most ``processes`` workers that never
-    outnumbers the CPUs the run may use."""
-    try:
-        ctx = get_context("fork")
-    except ValueError:  # platforms without fork; Graph payloads pickle fine
-        ctx = get_context("spawn")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return ctx.Pool(processes=min(processes, cpus or 1))
 
 
 def run_level(
@@ -213,7 +201,6 @@ def run_level(
     *,
     reduced: bool,
     planar: bool = True,
-    jobs: int = 1,
     node_budget: int | None = None,
     graph6_path: str | None = None,
 ) -> LevelReport:
@@ -230,28 +217,17 @@ def run_level(
     nodes, index, first_sat = 0, 0, None
     digest = hashlib.sha256()  # over the lines "i:graph6:status", joined by "\n"
     blocks = candidate_blocks(n, m, counts, reduced=reduced, planar=planar, graph6_path=graph6_path)
-    with ExitStack() as stack:
-        pool = None
-        for block in blocks:
-            # at most --jobs chunks; a single chunk runs in this process
-            size = -(-len(block) // min(jobs, len(block)))
-            payloads = [(block[i : i + size], k, node_budget) for i in range(0, len(block), size)]
-            if len(payloads) == 1:
-                results = _solve_chunk(payloads[0])
-            else:
-                if pool is None:  # one pool per level, sized by its first block
-                    pool = stack.enter_context(_pool(len(payloads)))
-                # map returns the parts in chunk order, so results follow the block
-                results = [r for part in pool.map(_solve_chunk, payloads) for r in part]
-            for g, (status, count, cert) in zip(block, results):
-                line = f"{index}:{encode_graph6(g)}:{status}"
-                digest.update((f"\n{line}" if index else line).encode())
-                tally[status] += 1
-                nodes += count
-                if status == SAT and first_sat is None:
-                    first_sat = (index, ColoredGraph(g, cert))
-                index += 1
-            del block, payloads, results  # let go of this block before the next is read
+    for block in blocks:
+        results = _solve_chunk(block, k, node_budget)
+        for g, (status, count, cert) in zip(block, results):
+            line = f"{index}:{encode_graph6(g)}:{status}"
+            digest.update((f"\n{line}" if index else line).encode())
+            tally[status] += 1
+            nodes += count
+            if status == SAT and first_sat is None:
+                first_sat = (index, ColoredGraph(g, cert))
+            index += 1
+        del block, results  # let go of this block before the next is read
     counts.update(unsat=tally[UNSAT], sat=tally[SAT], budget_exceeded=tally[BUDGET_EXCEEDED])
     if tally[SAT]:
         status = "FAIL"
@@ -330,7 +306,6 @@ def compute_extremal(
     n: int,
     k: int,
     *,
-    jobs: int = 1,
     node_budget: int | None = None,
     graph6_path: str | None = None,
 ) -> ExtremalReport:
@@ -398,13 +373,7 @@ def compute_extremal(
     levels: list[LevelReport] = []
     for n2, m2, reduced in plan:
         level = run_level(
-            n2,
-            m2,
-            k,
-            reduced=reduced,
-            jobs=jobs,
-            node_budget=node_budget,
-            graph6_path=source[n2],
+            n2, m2, k, reduced=reduced, node_budget=node_budget, graph6_path=source[n2]
         )
         if claim is None:
             # descent: a level without a verdict leaves no value, and the

@@ -25,7 +25,7 @@ in its canonical labelling and every level is sorted by canonical code, so
 a level depends only on the set of classes it holds.  The emitted graphs
 take their edge tuples from one module-level table of (i, j) pairs, so a
 level of many thousand graphs holds each pair once rather than once per
-graph, and a pickled chunk of them carries each pair once as well.  This
+graph, and a pickled list of them carries each pair once as well.  This
 is meant for desk scale (n <= 10); larger candidate sets come from graph6
 files produced by external generators.
 

@@ -5,7 +5,7 @@ Vertices are always 0..n-1.  Edges are stored canonically: each pair as
 a slotted value of exactly `n` and `edges`, so it holds no views beside
 them and pickles as those two fields; `masks()` and `degrees()` derive the
 adjacency bitmasks and the degree sequence afresh on each call.  Values are
-immutable after construction and safe to share across workers.
+immutable after construction.
 """
 
 from __future__ import annotations

@@ -434,7 +434,7 @@ def test_graph6_file_error_after_the_first_block(capsys, monkeypatch, tmp_path, 
     path.write_text("".join(line + "\n" for line in lines + [late] + lines))
     solve, searched = extremal._solve_chunk, []
     monkeypatch.setattr(
-        extremal, "_solve_chunk", lambda payload: searched.append(payload) or solve(payload)
+        extremal, "_solve_chunk", lambda block, *rest: searched.append(block) or solve(block, *rest)
     )
     code, out, err = invoke(
         capsys, "refute", "-n", "6", "-m", "9", "-k", "5", "--from-graph6", str(path)
@@ -580,23 +580,40 @@ def test_color_input_reads_a_60_vertex_graph6_file_as_graph6(capsys, tmp_path):
     assert parse(out)["status"] == "UNSAT"
 
 
-def test_module_entry_exits_with_the_verdict():
-    """`python -m rbturan` hands run()'s exit code to the interpreter."""
+def _python(*argv):
+    """Run a fresh interpreter that imports this checkout's rbturan."""
     src = str(Path(rbturan.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
 
-    def module(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "rbturan", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
 
-    done = module("--version")
+def test_module_entry_exits_with_the_verdict():
+    """`python -m rbturan` hands run()'s exit code to the interpreter."""
+    done = _python("-m", "rbturan", "--version")
     assert done.returncode == 0 and __version__ in done.stdout
-    done = module("extremal", "-n", "6", "-k", "3", "--expect", "4")
+    done = _python("-m", "rbturan", "extremal", "-n", "6", "-k", "3", "--expect", "4")
     assert done.returncode == 1, done.stderr
     lines = done.stdout.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["subcommand"] == "extremal"
-    done = module("refute", "-n", "5", "-m", "8", "-k", "2")
+    done = _python("-m", "rbturan", "refute", "-n", "5", "-m", "8", "-k", "2")
     assert done.returncode == 2 and done.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-c", "import rbturan.cli"], ["-m", "rbturan", "--version"]],
+    ids=["import", "version"],
+)
+def test_cli_start_does_not_import_multiprocessing(argv):
+    """Every search runs in one process, so starting the CLI loads no
+    process machinery."""
+    done = _python("-X", "importtime", *argv)
+    assert done.returncode == 0, done.stderr
+    # -X importtime writes one "import time: self | cumulative | name" line per module
+    names = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+             if line.startswith("import time:")}
+    assert "rbturan.cli" in names
+    assert "multiprocessing" not in names

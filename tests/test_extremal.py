@@ -3,7 +3,6 @@ from __future__ import annotations
 import gc
 import hashlib
 import itertools
-import os
 
 import networkx as nx
 import pytest
@@ -204,66 +203,8 @@ def test_every_small_report_is_certified():
             assert rep.achiever_provenance.startswith(("construction:", "search:"))
 
 
-def test_jobs_do_not_change_the_report():
-    # (6, 5) refutes its chain; (7, 4) has no construction, so its achiever
-    # is the first SAT candidate of level descent
-    for n, k, jobs in ((6, 5, 4), (7, 4, 2)):
-        assert compute_extremal(n, k, jobs=jobs).to_doc() == compute_extremal(n, k, jobs=1).to_doc()
-
-
-@pytest.mark.parametrize("n,m,k", [(6, 9, 5), (6, 8, 5), (7, 13, 6)])
-def test_pool_keeps_candidate_order_on_levels_with_sat(n, m, k):
-    # each level mixes SAT and UNSAT candidates, so the digest and the
-    # first SAT index see a pool that returns chunks out of order
-    # (at (6,9) the first SAT is candidate 16 of 20, in a later chunk)
-    alone = run_level(n, m, k, reduced=False, jobs=1)
-    assert alone.counts["sat"] and alone.counts["unsat"]
-    for jobs in (2, 3):
-        assert run_level(n, m, k, reduced=False, jobs=jobs) == alone
-
-
-class _RecordingContext:
-    """Stands in for a multiprocessing context: records the size of each
-    pool asked for and the number of chunks, and maps in this process."""
-
-    def __init__(self):
-        self.processes: list[int] = []
-        self.chunks = 0
-
-    def Pool(self, processes):
-        self.processes.append(processes)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, payloads):
-        self.chunks = len(payloads)
-        return [fn(p) for p in payloads]
-
-
-@pytest.mark.parametrize("affinity, cpus", [(True, 2), (False, 3)], ids=["affinity", "cpu-count"])
-def test_pool_never_outnumbers_cpus(monkeypatch, affinity, cpus):
-    ctx = _RecordingContext()
-    monkeypatch.setattr(extremal, "get_context", lambda method: ctx)
-    if affinity:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    else:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    alone = run_level(6, 10, 5, reduced=False, jobs=1)
-    wide = run_level(6, 10, 5, reduced=False, jobs=5000)
-    assert ctx.processes == [cpus]
-    # chunking still follows --jobs: one candidate per chunk here
-    assert ctx.chunks == alone.counts["planar"] > cpus
-    assert wide == alone
-
-
 def test_every_chain_level_is_one_block():
-    # so certify's pool maps each chain level's candidates in one call
+    # so each chain level's candidates are searched as one group
     for n in range(4, extremal.BUILTIN_MAX_N + 1):
         blocks = list(extremal.candidate_blocks(n, 3 * n // 2 + 1, {}, reduced=True, planar=True))
         assert len(blocks) <= 1
@@ -331,12 +272,11 @@ def _write_level_6_9(path, passes: int) -> None:
     ))
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_blocks_of_a_file_fed_level_add_up_to_the_whole_level(monkeypatch, tmp_path, jobs):
+def test_blocks_of_a_file_fed_level_add_up_to_the_whole_level(monkeypatch, tmp_path):
     monkeypatch.setattr(extremal, "BLOCK", 5)
     path = tmp_path / "level_6_9.g6"
     _write_level_6_9(path, 2)
-    lv = run_level(6, 9, 5, reduced=True, jobs=jobs, graph6_path=str(path))
+    lv = run_level(6, 9, 5, reduced=True, graph6_path=str(path))
     # reference: the whole file at once, one search per filtered graph
     lines = path.read_text().split()
     reduced = [line for line in lines if is_reduced(decode_graph6(line))]
@@ -376,9 +316,9 @@ def test_file_fed_level_holds_one_block_of_graphs(monkeypatch, tmp_path):
     live: dict[str, list[int]] = {"read": [], "search": []}
 
     def counting(stage, fn):
-        def counted(arg):
+        def counted(*args):
             live[stage].append(_live_graphs())
-            return fn(arg)
+            return fn(*args)
 
         return counted
 

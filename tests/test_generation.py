@@ -229,8 +229,8 @@ def test_ladder_is_deterministic():
 def test_ladder_graphs_share_one_tuple_per_edge_pair():
     """Every graph a ladder emits takes its edges from the shared pair
     table: across all levels of one n there are at most n(n-1)/2 distinct
-    edge objects, and each graph is canonical and sorted.  A chunk pickled
-    as the pool sends it still compares equal and still shares its pairs."""
+    edge objects, and each graph is canonical and sorted.  A level pickled
+    whole still compares equal and still shares its pairs."""
     for n in range(9):
         ladder = LevelLadder(n)
         ids: set[int] = set()
@@ -239,9 +239,9 @@ def test_ladder_graphs_share_one_tuple_per_edge_pair():
                 assert g == build_graph(n, g.edges), (n, m, g.edges)
                 ids.update(map(id, g.edges))
         assert len(ids) <= n * (n - 1) // 2, n
-    chunk = LevelLadder(6).level(10)
-    back, k, budget = pickle.loads(pickle.dumps((chunk, 5, None)))
-    assert (back, k, budget) == (chunk, 5, None)
+    level = LevelLadder(6).level(10)
+    back = pickle.loads(pickle.dumps(level))
+    assert back == level
     assert len({id(e) for g in back for e in g.edges}) <= 15
 
 

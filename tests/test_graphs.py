@@ -36,7 +36,7 @@ def test_graph_is_a_slotted_value():
 
 
 def test_ladder_level_round_trips_through_pickle():
-    # the pool ships ladder graphs to its workers pickled
+    # Graph is a public value, so a level of them must survive pickling
     level = LevelLadder(7).level(9)
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(level, protocol)) == level, protocol
