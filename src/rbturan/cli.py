@@ -278,7 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     levels = argparse.ArgumentParser(add_help=False)
     levels.add_argument(
-        "--jobs", type=_int_at_least(1, "JOBS"), default=os.environ.get("RBTURAN_JOBS", "1")
+        "--jobs",
+        type=_int_at_least(1, "JOBS"),
+        default=os.environ.get("RBTURAN_JOBS", "1"),
+        help="accepted (N >= 1) and echoed in config; every search runs in one process",
     )
     levels.add_argument("--from-graph6", default=None, help="candidate source file")
 

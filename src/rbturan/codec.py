@@ -2,8 +2,13 @@
 
 graph6 support is bit-exact for the short size field (n <= 62), which is
 all that desk-scale enumeration ever produces.  sparse6 input is rejected
-explicitly instead of being misparsed.  graph6 carries no colors; colored
-graphs and certificates travel as JSON documents:
+explicitly instead of being misparsed.  The body's last character pads the
+n(n-1)/2 edge bits to a multiple of 6 with zero bits; a line with a
+padding bit set is rejected, so a line decodes to one graph whose
+encoding is that same line.  The decoder visits only the set bits, one
+per edge, each looked up in a per-n table of vertex pairs.  graph6
+carries no colors; colored graphs and certificates travel as JSON
+documents:
 
     {"n": 5, "edges": [[0, 1, 3], ...], "meta": {...}}
 
@@ -12,10 +17,11 @@ where each entry of "edges" is [u, v, color].
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any, Iterator
 
-from .graphs import ColoredGraph, Graph, GraphError, build_colored_graph
+from .graphs import ColoredGraph, Edge, Graph, GraphError, build_colored_graph
 
 GRAPH6_HEADER = ">>graph6<<"
 MAX_N = 62
@@ -23,6 +29,15 @@ MAX_N = 62
 
 class CodecError(ValueError):
     """Malformed graph6 line or colored-graph document."""
+
+
+@functools.cache
+def _pairs(n: int) -> tuple[Edge, ...]:
+    """The vertex pair of each body bit of an n-vertex graph6 line, indexed
+    by the bit's place counted from the least significant end once the
+    padding is dropped: the column-major upper triangle (0,1), (0,2),
+    (1,2), (0,3), ... read from its last pair back."""
+    return tuple((u, v) for v in range(n - 1, 0, -1) for u in range(v - 1, -1, -1))
 
 
 def decode_graph6(line: str) -> Graph:
@@ -36,14 +51,13 @@ def decode_graph6(line: str) -> Graph:
         raise CodecError("sparse6 input is not supported")
     if s[0] == "&":
         raise CodecError("digraph6 input is not supported")
-    data = [ord(ch) - 63 for ch in s]
-    if any(b < 0 or b > 63 for b in data):
+    if min(s) < "?" or max(s) > "~":
         raise CodecError("character out of graph6 range 63..126")
-    n = data[0]
+    n = ord(s[0]) - 63
     if n == 63:
         # long size field: n >= 63
         raise CodecError(f"graph6 size field exceeds supported n <= {MAX_N}")
-    body = data[1:]
+    body = s[1:]
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) != need:
@@ -51,19 +65,21 @@ def decode_graph6(line: str) -> Graph:
             f"graph6 body has {len(body)} characters, expected {need} for n={n}"
         )
     bits = 0
-    for b in body:
-        bits = (bits << 6) | b
-    bits >>= need * 6 - nbits  # drop padding
+    for ch in body:
+        bits = (bits << 6) | (ord(ch) - 63)
+    pad = need * 6 - nbits
+    if bits & ((1 << pad) - 1):
+        raise CodecError("graph6 padding bits are not zero")
+    bits >>= pad
+    pairs = _pairs(n)
     edges = []
-    # column-major upper triangle: (0,1), (0,2), (1,2), (0,3), ...
-    idx = nbits - 1
-    for v in range(1, n):
-        for u in range(v):
-            if bits >> idx & 1:
-                edges.append((u, v))
-            idx -= 1
+    while bits:  # one step per edge
+        low = bits & -bits
+        edges.append(pairs[low.bit_length() - 1])
+        bits ^= low
     # the bit layout admits no loop, duplicate or out-of-range edge
-    return Graph(n, tuple(sorted(edges)))
+    edges.sort()
+    return Graph(n, tuple(edges))
 
 
 def encode_graph6(g: Graph) -> str:

