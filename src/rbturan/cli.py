@@ -3,14 +3,14 @@
 One binary, subcommand style: detect, color, lemma, construct, extremal,
 refute, validate.  A subcommand returns its report and writes nothing;
 ``run`` writes it once: one JSON line to standard output (byte identical
-across runs), a human summary to standard error.  ``--jobs`` is accepted
-and echoed in ``config`` but selects nothing: every search runs in this
-one process.  Exit status encodes the verdict: 0 pass / found as
-expected, 1 property fails or mismatch, 2 usage error, 3 search budget
-exceeded.
+across runs), a human summary to standard error.  ``--jobs`` is kept
+for command lines that pass it: it is checked and echoed in ``config``
+but selects nothing, since every search runs in this one process.  Exit
+status encodes the verdict: 0 pass / found as expected, 1 property fails
+or mismatch, 2 usage error, 3 search budget exceeded.
 
-Options can be overridden through RBTURAN_-prefixed environment
-variables (RBTURAN_JOBS, RBTURAN_BUDGET_NODES).
+The environment variable RBTURAN_BUDGET_NODES sets the default of
+``--budget-nodes``.
 """
 
 from __future__ import annotations
@@ -46,10 +46,11 @@ STATUS_EXIT = {
 }
 
 
-def _int_at_least(low: int, env: str):
+def _int_at_least(low: int, env: str | None = None):
     """argparse type for an integer option >= low.  argparse also applies it
     to a string default, so a malformed RBTURAN_<env> value is a usage error
     (exit 2) just like a malformed flag."""
+    default = f" (default from RBTURAN_{env})" if env else ""
 
     def parse(raw: str) -> int:
         try:
@@ -58,9 +59,7 @@ def _int_at_least(low: int, env: str):
                 return value
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= {low} (default from RBTURAN_{env}), got {raw!r}"
-        )
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}{default}, got {raw!r}")
 
     return parse
 
@@ -269,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rbturan {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     # Flags shared by several subcommands, declared once.  The parents are
-    # built per call so the RBTURAN_* defaults are read on every run.
+    # built per call so the RBTURAN_BUDGET_NODES default is read on every run.
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument(
         "--budget-nodes",
@@ -279,9 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     levels = argparse.ArgumentParser(add_help=False)
     levels.add_argument(
         "--jobs",
-        type=_int_at_least(1, "JOBS"),
-        default=os.environ.get("RBTURAN_JOBS", "1"),
-        help="accepted (N >= 1) and echoed in config; every search runs in one process",
+        type=_int_at_least(1),
+        default=1,
+        help="kept for command lines that pass it: accepted (N >= 1) and echoed in "
+        "config; every search runs in one process",
     )
     levels.add_argument("--from-graph6", default=None, help="candidate source file")
 

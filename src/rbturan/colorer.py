@@ -86,10 +86,7 @@ class SearchOutcome:
 def _order_positions(g: Graph) -> list[int]:
     """Static edge order: decreasing endpoint degree sum, ties by canonical
     edge order (fail-first and deterministic)."""
-    deg = [0] * g.n
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
+    deg = g.degrees()
     sums = [deg[u] + deg[v] for u, v in g.edges]
     # a stable sort, reversed or not, keeps equal sums in index order, which
     # is canonical edge order because g.edges is sorted
@@ -419,7 +416,7 @@ def find_colorings(
     graph-by-graph ones.  A node budget holds for each graph on its own,
     so a budgeted call searches the graphs one by one."""
     if node_budget is not None:
-        return [_Group([g], k, None).outcomes(node_budget)[0] for g in graphs]
+        return [find_coloring(g, k, node_budget=node_budget) for g in graphs]
     return _Group(graphs, k, None).outcomes() if graphs else []
 
 

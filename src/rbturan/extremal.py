@@ -34,7 +34,7 @@ from itertools import islice
 from typing import Any, Iterator
 
 from .codec import colored_to_doc, encode_graph6, read_graph6_file
-from .colorer import BUDGET_EXCEEDED, SAT, UNSAT, find_colorings
+from .colorer import BUDGET_EXCEEDED, SAT, UNSAT, SearchOutcome, find_colorings
 from .constructions import FAMILY_TABLE, make, validate_construction
 from .generation import LevelLadder, class_count
 from .graphs import ColoredGraph, Graph, GraphError
@@ -179,19 +179,11 @@ class LevelReport:
 
 
 # a function of its own because bench/tracing.py wraps it by name to time each block's search
-def _solve_chunk(
-    block: list[Graph], k: int, node_budget: int | None
-) -> list[tuple[str, int, tuple[int, ...] | None]]:
+def _solve_chunk(block: list[Graph], k: int, node_budget: int | None) -> list[SearchOutcome]:
     """Run the coloring search on one block of candidates, as one group
-    (see `colorer.find_colorings`).
-
-    Returns (status, nodes, certificate colors or None) per graph, in
-    block order.
-    """
-    return [
-        (out.status, out.nodes, out.certificate.colors if out.sat else None)
-        for out in find_colorings(block, k, node_budget=node_budget)
-    ]
+    (see `colorer.find_colorings`): the outcome of each graph, in block
+    order."""
+    return find_colorings(block, k, node_budget=node_budget)
 
 
 def run_level(
@@ -218,16 +210,16 @@ def run_level(
     digest = hashlib.sha256()  # over the lines "i:graph6:status", joined by "\n"
     blocks = candidate_blocks(n, m, counts, reduced=reduced, planar=planar, graph6_path=graph6_path)
     for block in blocks:
-        results = _solve_chunk(block, k, node_budget)
-        for g, (status, count, cert) in zip(block, results):
-            line = f"{index}:{encode_graph6(g)}:{status}"
+        outcomes = _solve_chunk(block, k, node_budget)
+        for g, out in zip(block, outcomes):
+            line = f"{index}:{encode_graph6(g)}:{out.status}"
             digest.update((f"\n{line}" if index else line).encode())
-            tally[status] += 1
-            nodes += count
-            if status == SAT and first_sat is None:
-                first_sat = (index, ColoredGraph(g, cert))
+            tally[out.status] += 1
+            nodes += out.nodes
+            if out.sat and first_sat is None:
+                first_sat = (index, out.certificate)
             index += 1
-        del block, results  # let go of this block before the next is read
+        del block, outcomes  # let go of this block before the next is read
     counts.update(unsat=tally[UNSAT], sat=tally[SAT], budget_exceeded=tally[BUDGET_EXCEEDED])
     if tally[SAT]:
         status = "FAIL"

@@ -25,9 +25,8 @@ in its canonical labelling and every level is sorted by canonical code, so
 a level depends only on the set of classes it holds.  The emitted graphs
 take their edge tuples from one module-level table of (i, j) pairs, so a
 level of many thousand graphs holds each pair once rather than once per
-graph, and a pickled list of them carries each pair once as well.  This
-is meant for desk scale (n <= 10); larger candidate sets come from graph6
-files produced by external generators.
+graph.  This is meant for desk scale (n <= 10); larger candidate sets
+come from graph6 files produced by external generators.
 
 A ladder either keeps every level it builds, for callers that walk the
 levels, or is a degree window: it builds towards one target level M,

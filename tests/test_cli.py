@@ -245,18 +245,19 @@ def test_usage_errors_exit_2(capsys):
     assert "error:" in err
 
 
-def test_env_override_jobs(capsys, monkeypatch):
-    monkeypatch.setenv("RBTURAN_JOBS", "2")
+@pytest.mark.parametrize("value", ["2", "two"])
+def test_jobs_is_not_read_from_the_environment(capsys, monkeypatch, value):
+    monkeypatch.setenv("RBTURAN_JOBS", value)
     code, out, _ = invoke(capsys, "extremal", "-n", "5", "-k", "5")
     assert code == 0
-    assert parse(out)["config"]["jobs"] == 2
+    assert parse(out)["config"]["jobs"] == 1
 
 
 @pytest.mark.parametrize(
     "name, value, argv",
     [
-        ("RBTURAN_JOBS", "two", ["extremal", "-n", "5", "-k", "5"]),
-        ("RBTURAN_JOBS", "0", ["refute", "-n", "5", "-m", "8", "-k", "5"]),
+        ("RBTURAN_BUDGET_NODES", "two", ["extremal", "-n", "5", "-k", "5"]),
+        ("RBTURAN_BUDGET_NODES", "-1", ["extremal", "-n", "5", "-k", "5"]),
         ("RBTURAN_BUDGET_NODES", "1e6", ["refute", "-n", "5", "-m", "8", "-k", "5"]),
         ("RBTURAN_BUDGET_NODES", "-5", ["color", "-k", "5", "--graph6", "C~"]),
     ],
@@ -275,7 +276,10 @@ def test_help_says_jobs_is_only_echoed(capsys, subcommand):
         run([subcommand, "--help"])
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())  # argparse wraps the help
-    assert "--jobs JOBS accepted (N >= 1) and echoed in config; every search runs in one process" in text
+    assert (
+        "--jobs JOBS kept for command lines that pass it: accepted (N >= 1) and echoed in "
+        "config; every search runs in one process"
+    ) in text
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
