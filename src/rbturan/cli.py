@@ -7,17 +7,14 @@ across runs), a human summary to standard error.  ``--jobs`` is kept
 for command lines that pass it: it is checked and echoed in ``config``
 but selects nothing, since every search runs in this one process.  Exit
 status encodes the verdict: 0 pass / found as expected, 1 property fails
-or mismatch, 2 usage error, 3 search budget exceeded.
-
-The environment variable RBTURAN_BUDGET_NODES sets the default of
-``--budget-nodes``.
+or mismatch, 2 usage error, 3 search budget exceeded.  Every setting
+of a run comes from its command line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Any
@@ -46,11 +43,9 @@ STATUS_EXIT = {
 }
 
 
-def _int_at_least(low: int, env: str | None = None):
-    """argparse type for an integer option >= low.  argparse also applies it
-    to a string default, so a malformed RBTURAN_<env> value is a usage error
-    (exit 2) just like a malformed flag."""
-    default = f" (default from RBTURAN_{env})" if env else ""
+def _int_at_least(low: int):
+    """argparse type for an integer option >= low; anything else is a usage
+    error (exit 2)."""
 
     def parse(raw: str) -> int:
         try:
@@ -59,7 +54,7 @@ def _int_at_least(low: int, env: str | None = None):
                 return value
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"expected an integer >= {low}{default}, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {raw!r}")
 
     return parse
 
@@ -267,14 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"rbturan {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    # Flags shared by several subcommands, declared once.  The parents are
-    # built per call so the RBTURAN_BUDGET_NODES default is read on every run.
+    # flags shared by several subcommands, declared once
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument(
-        "--budget-nodes",
-        type=_int_at_least(0, "BUDGET_NODES"),
-        default=os.environ.get("RBTURAN_BUDGET_NODES"),
-    )
+    budget.add_argument("--budget-nodes", type=_int_at_least(0))
     levels = argparse.ArgumentParser(add_help=False)
     levels.add_argument(
         "--jobs",

@@ -304,10 +304,12 @@ def compute_extremal(
     """Certified extremal value: the largest m such that some planar
     n-vertex m-edge graph admits a proper rainbow-P_k-free coloring.
 
-    The lower bound comes from a validated achiever (a known construction
-    when one applies, otherwise the first SAT candidate found by level
-    descent); the upper bound from refuting level value+1, which settles
-    all higher levels because SAT survives edge deletion.  When the value
+    The lower bound comes from an achiever, a known construction when one
+    applies or else the first SAT certificate of the highest SAT level of
+    the descent; either kind passes `validate_construction` after the
+    levels run, or the run is a GraphError naming its provenance.  The
+    upper bound comes from refuting level value+1, which settles all
+    higher levels because SAT survives edge deletion.  When the value
     is floor(3n/2) the refutation runs the reduction-filtered level
     (n', floor(3n'/2)+1) for every n' in 4..n (see module docstring).
 
@@ -330,9 +332,6 @@ def compute_extremal(
         achiever, label = claim
         value = len(achiever.edges)
         provenance = f"construction:{label}"
-        gate = validate_construction(achiever, k, value)
-        if not gate.passed:  # pragma: no cover - constructions are validated
-            raise GraphError(f"claimed achiever {label} failed validation: {gate}")
         if value == cap:  # no planar graph has more edges: nothing to refute
             plan = []
         elif value == (3 * n) // 2:  # the reduced minimality chain over n' <= n
@@ -380,6 +379,9 @@ def compute_extremal(
                 value, provenance = m2, f"search:index-{index}"
                 break
         levels.append(level)
+    gate = validate_construction(achiever, k, value)
+    if not gate.passed:
+        raise GraphError(f"achiever {provenance} failed validation: {gate}")
     bad = [lv for lv in levels if not lv.passed]
     status = "OK"
     if bad:

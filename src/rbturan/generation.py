@@ -415,7 +415,7 @@ class LevelLadder:
                     children.append((code, 0 if top else _non_edge_reps(adj, pos, gens)))
         children.sort()
         level = [_graph_of_code(n, code) for code, _ in children]
-        self._reps = {g: reps for g, (_, reps) in zip(level, children)}
+        self._reps = {} if top else {g: reps for g, (_, reps) in zip(level, children)}
         if window:
             self._levels[-1] = []
         self._levels.append(level)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -14,7 +16,13 @@ from rbturan.cli import run
 from rbturan.codec import encode_colored, encode_graph6
 from rbturan.constructions import g5, gn
 from rbturan.generation import LevelLadder
-from rbturan.graphs import ColoredGraph, build_graph
+from rbturan.graphs import ColoredGraph, GraphError, build_graph
+
+
+# the built-in cap; the cap tests derive every case from it
+CAP = extremal.BUILTIN_MAX_N
+# the first n above the cap with no claimed k=4 construction (k4-blocks needs 4 | n)
+DESCENT_N = next(n for n in itertools.count(CAP + 1) if n % 4)
 
 
 def invoke(capsys, *argv):
@@ -245,29 +253,21 @@ def test_usage_errors_exit_2(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("value", ["2", "two"])
-def test_jobs_is_not_read_from_the_environment(capsys, monkeypatch, value):
-    monkeypatch.setenv("RBTURAN_JOBS", value)
-    code, out, _ = invoke(capsys, "extremal", "-n", "5", "-k", "5")
-    assert code == 0
-    assert parse(out)["config"]["jobs"] == 1
-
-
 @pytest.mark.parametrize(
-    "name, value, argv",
+    "name, value",
     [
-        ("RBTURAN_BUDGET_NODES", "two", ["extremal", "-n", "5", "-k", "5"]),
-        ("RBTURAN_BUDGET_NODES", "-1", ["extremal", "-n", "5", "-k", "5"]),
-        ("RBTURAN_BUDGET_NODES", "1e6", ["refute", "-n", "5", "-m", "8", "-k", "5"]),
-        ("RBTURAN_BUDGET_NODES", "-5", ["color", "-k", "5", "--graph6", "C~"]),
+        ("RBTURAN_JOBS", "2"),
+        ("RBTURAN_JOBS", "two"),
+        ("RBTURAN_BUDGET_NODES", "1"),
+        ("RBTURAN_BUDGET_NODES", "two"),
     ],
 )
-def test_malformed_env_is_usage_error(capsys, monkeypatch, name, value, argv):
+def test_settings_are_not_read_from_the_environment(capsys, monkeypatch, name, value):
     monkeypatch.setenv(name, value)
-    with pytest.raises(SystemExit) as exc:
-        run(argv)
-    assert exc.value.code == 2
-    assert name in capsys.readouterr().err
+    code, out, _ = invoke(capsys, "extremal", "-n", "5", "-k", "5")
+    assert code == 0
+    config = parse(out)["config"]
+    assert (config["jobs"], config["budget_nodes"]) == (1, None)
 
 
 @pytest.mark.parametrize("subcommand", ["extremal", "refute"])
@@ -306,15 +306,18 @@ def test_negative_budget_is_usage_error(capsys):
 def test_chain_beyond_builtin_cap_names_its_levels(capsys, tmp_path):
     code, out, err = invoke(capsys, "extremal", "-n", "70", "-k", "5")
     assert code == 2 and out == ""
-    assert "n'=9..70" in err
-    # a file feeds only the top level, so n'=9 still needs built-in generation
+    assert f"n'={CAP + 1}..70" in err
+    # a file feeds only the top level, so n'=CAP+1 still needs built-in generation
+    top = CAP + 2
     path = tmp_path / "level.g6"
-    path.write_text(encode_graph6(gn(10).graph) + "\n")
-    code, out, err = invoke(capsys, "extremal", "-n", "10", "-k", "5", "--from-graph6", str(path))
+    path.write_text(encode_graph6(gn(top).graph) + "\n")
+    code, out, err = invoke(
+        capsys, "extremal", "-n", str(top), "-k", "5", "--from-graph6", str(path)
+    )
     assert code == 2 and out == ""
-    assert "n'=9," in err and "top level n'=10" in err
-    # no construction at (9, k=4): level descent has no file to read
-    code, out, err = invoke(capsys, "extremal", "-n", "9", "-k", "4")
+    assert f"n'={CAP + 1}," in err and f"top level n'={top}" in err
+    # no construction at (DESCENT_N, k=4): level descent has no file to read
+    code, out, err = invoke(capsys, "extremal", "-n", str(DESCENT_N), "-k", "4")
     assert code == 2 and out == ""
     assert "level descent is built-in only" in err
 
@@ -324,14 +327,15 @@ def test_single_level_beyond_builtin_cap_asks_for_that_level(capsys, tmp_path):
     code, out, err = invoke(capsys, "extremal", "-n", "40", "-k", "3")
     assert code == 2 and out == ""
     assert "level (40,21)" in err and "--from-graph6" in err
-    assert "n'=9" not in err and "top level" not in err
-    code, out, err = invoke(capsys, "extremal", "-n", "9", "-k", "3")
+    assert f"n'={CAP + 1}" not in err and "top level" not in err
+    n, m = CAP + 1, (CAP + 1) // 2 + 1
+    code, out, err = invoke(capsys, "extremal", "-n", str(n), "-k", "3")
     assert code == 2 and out == ""
-    assert "level (9,5)" in err and "top level" not in err
+    assert f"level ({n},{m})" in err and "top level" not in err
     # and following the hint works
-    path = tmp_path / "level_9_5.g6"
-    path.write_text("".join(encode_graph6(g) + "\n" for g in LevelLadder(9).level(5)))
-    code, out, _ = invoke(capsys, "extremal", "-n", "9", "-k", "3", "--from-graph6", str(path))
+    path = tmp_path / "level.g6"
+    path.write_text("".join(encode_graph6(g) + "\n" for g in LevelLadder(n).level(m)))
+    code, out, _ = invoke(capsys, "extremal", "-n", str(n), "-k", "3", "--from-graph6", str(path))
     assert code == 0
     assert parse(out)["refutation"]["status"] == "PASS"
 
@@ -341,23 +345,26 @@ def test_single_level_beyond_builtin_cap_asks_for_that_level(capsys, tmp_path):
     [
         (
             ["-n", "70", "-k", "5"],
-            "refuting the value 105 at n=70, k=5 needs built-in generation for n'=9..70, "
-            "beyond the cap n <= 8; --from-graph6 feeds only the top level n'=70",
+            "refuting the value 105 at n=70, k=5 needs built-in generation for "
+            f"n'={CAP + 1}..70, beyond the cap n <= {CAP}; --from-graph6 feeds only the "
+            "top level n'=70",
         ),
         (
-            ["-n", "9", "-k", "4"],
-            "no known construction for n=9, k=4, so level descent needs built-in "
-            "generation for n'=9, beyond the cap n <= 8; level descent is built-in only",
+            ["-n", str(DESCENT_N), "-k", "4"],
+            f"no known construction for n={DESCENT_N}, k=4, so level descent needs built-in "
+            f"generation for n'={DESCENT_N}, beyond the cap n <= {CAP}; level descent is "
+            "built-in only",
         ),
         (
             ["-n", "40", "-k", "3"],
             "refuting the value 20 at n=40, k=3 needs built-in generation for n'=40, "
-            "beyond the cap n <= 8; supply the level (40,21) with --from-graph6",
+            f"beyond the cap n <= {CAP}; supply the level (40,21) with --from-graph6",
         ),
         (
-            ["-n", "9", "-k", "3"],
-            "refuting the value 4 at n=9, k=3 needs built-in generation for n'=9, "
-            "beyond the cap n <= 8; supply the level (9,5) with --from-graph6",
+            ["-n", str(CAP + 1), "-k", "3"],
+            f"refuting the value {(CAP + 1) // 2} at n={CAP + 1}, k=3 needs built-in "
+            f"generation for n'={CAP + 1}, beyond the cap n <= {CAP}; supply the level "
+            f"({CAP + 1},{(CAP + 1) // 2 + 1}) with --from-graph6",
         ),
         (
             ["-n", "6", "-k", "4", "--from-graph6", "F"],
@@ -369,9 +376,10 @@ def test_single_level_beyond_builtin_cap_asks_for_that_level(capsys, tmp_path):
             "refuted, and --from-graph6 F would not be read",
         ),
         (
-            ["-n", "10", "-k", "5", "--from-graph6", "F"],
-            "refuting the value 15 at n=10, k=5 needs built-in generation for n'=9, "
-            "beyond the cap n <= 8; --from-graph6 feeds only the top level n'=10",
+            ["-n", str(CAP + 2), "-k", "5", "--from-graph6", "F"],
+            f"refuting the value {3 * (CAP + 2) // 2} at n={CAP + 2}, k=5 needs built-in "
+            f"generation for n'={CAP + 1}, beyond the cap n <= {CAP}; --from-graph6 feeds "
+            f"only the top level n'={CAP + 2}",
         ),
     ],
     ids=[
@@ -388,6 +396,27 @@ def test_candidate_source_rule_refuses_before_any_level(capsys, monkeypatch, arg
     monkeypatch.setattr(extremal, "run_level", no_level)
     code, out, err = invoke(capsys, "extremal", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_searched_achiever_passes_the_construction_gate(capsys, monkeypatch):
+    # a descent's achiever, the first SAT certificate of its highest SAT
+    # level, passes the gate a claimed construction passes: one whose
+    # edges all share one color is improper, and the run is a usage error
+    solve = extremal._solve_chunk
+
+    def one_color(block, k, node_budget):
+        return [
+            dataclasses.replace(out, certificate=ColoredGraph(g, (1,) * len(g.edges)))
+            if out.sat
+            else out
+            for g, out in zip(block, solve(block, k, node_budget))
+        ]
+
+    monkeypatch.setattr(extremal, "_solve_chunk", one_color)
+    with pytest.raises(GraphError, match="achiever search:index-0 failed validation"):
+        extremal.compute_extremal(5, 4)
+    code, out, err = invoke(capsys, "extremal", "-n", "5", "-k", "4")
+    assert (code, out) == (2, "") and "achiever search:index-0" in err
 
 
 def test_refute_budget_exits_3(capsys):

@@ -54,7 +54,7 @@ def test_enumerate_empty_when_overfull():
 
 def test_enumerate_cap_without_file():
     with pytest.raises(GraphError, match="graph6"):
-        enumerate_candidates(9, 5)
+        enumerate_candidates(extremal.BUILTIN_MAX_N + 1, 5)
 
 
 def naive_level_5_8():
