@@ -362,7 +362,8 @@ def compute_extremal(
             f"beyond the cap n <= {BUILTIN_MAX_N}; {hint}"
         )
     levels: list[LevelReport] = []
-    for n2, m2, reduced in plan:
+    # the file-fed level runs first, so a bad file fails before any built-in one
+    for n2, m2, reduced in sorted(plan, key=lambda level: source[level[0]] is None):
         level = run_level(
             n2, m2, k, reduced=reduced, node_budget=node_budget, graph6_path=source[n2]
         )
@@ -379,6 +380,7 @@ def compute_extremal(
                 value, provenance = m2, f"search:index-{index}"
                 break
         levels.append(level)
+    levels.sort(key=lambda level: level.n)  # back in plan order: n' never falls along a plan
     gate = validate_construction(achiever, k, value)
     if not gate.passed:
         raise GraphError(f"achiever {provenance} failed validation: {gate}")

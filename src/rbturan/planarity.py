@@ -1,9 +1,8 @@
 """Planarity decision by path addition on the graph's kernel.
 
 Boolean verdict only; no embedding or Kuratowski witness is produced.  The
-edge count bound e <= 3n-6 short-circuits dense graphs before anything
-else runs.  The graph is then reduced to its kernel on adjacency bitmasks,
-repeating until no vertex qualifies:
+graph is first reduced to its kernel on adjacency bitmasks, repeating
+until no vertex qualifies:
 
 * a vertex of degree 0 or 1 is deleted;
 * a vertex v of degree 2 with neighbours u and w is smoothed: the path
@@ -14,12 +13,16 @@ Each step keeps planarity in both directions.  A vertex of degree at most
 one can always be redrawn next to its neighbour.  Smoothing replaces a
 graph by one it is a subdivision of, and subdivision neither creates nor
 destroys a subdivided K5 or K3,3 (Kuratowski).  A path u-v-w beside an
-existing edge u-w can be drawn alongside that edge.  On the kernel the
-Euler bound is applied again (reason "euler-bound" either way).  A kernel
-with at most 5 vertices that passed the Euler bound is planar because K5,
-which the bound rejects, is the only nonplanar graph on 5 vertices.  That
-covers every kernel with at most 8 edges: each kernel vertex has degree 0
-or at least 3, so 3 kn <= 2 km <= 16 and kn <= 5.
+existing edge u-w can be drawn alongside that edge.
+
+The Euler bound e <= 3n-6 is tested once, on the kernel.  No step lowers
+e - 3n (each takes away one vertex and at most two edges), and an input
+on n >= 3 vertices with an empty kernel passed through a 3-vertex graph,
+which meets the bound, so that test rejects every input above it too.  A
+kernel with at most 5 vertices that passed the bound is planar because
+K5, which the bound rejects, is the only nonplanar graph on 5 vertices.
+That covers every kernel with at most 8 edges: each kernel vertex has
+degree 0 or at least 3, so 3 kn <= 2 km <= 16 and kn <= 5.
 
 Any other kernel is drawn by path addition (Demoucron, Malgrange and
 Pertuiset, 1964).  One cycle is drawn as two faces.  A fragment is an
@@ -64,7 +67,6 @@ DRAWS_MEMO = 4096
 @dataclass(frozen=True)
 class PlanarityVerdict:
     planar: bool
-    reason: str  # "euler-bound" or "combinatorial-test"
 
     def __bool__(self) -> bool:
         return self.planar
@@ -72,24 +74,19 @@ class PlanarityVerdict:
 
 def planar_edge_cap(n: int) -> int:
     """Largest edge count a planar graph on n vertices can have."""
-    full = n * (n - 1) // 2
-    return full if n < 3 else min(full, 3 * n - 6)
+    return n * (n - 1) // 2 if n < 3 else 3 * n - 6
 
 
 def is_planar(g: Graph) -> PlanarityVerdict:
     """Decide whether g embeds in the plane."""
-    if len(g.edges) > planar_edge_cap(g.n):
-        return PlanarityVerdict(False, "euler-bound")
-    return _verdict(_kernel(g.masks()))
+    return PlanarityVerdict(_verdict(_kernel(g.masks())))
 
 
-def _verdict(adj: list[int]) -> PlanarityVerdict:
-    """Verdict on a kernel given as adjacency bitmasks."""
+def _verdict(adj: list[int]) -> bool:
+    """Whether a kernel given as adjacency bitmasks embeds in the plane."""
     kn = len(adj) - adj.count(0)
     km = sum(map(int.bit_count, adj)) // 2
-    if km > planar_edge_cap(kn):
-        return PlanarityVerdict(False, "euler-bound")
-    return PlanarityVerdict(kn <= 5 or _draws(tuple(adj)), "combinatorial-test")
+    return km <= planar_edge_cap(kn) and (kn <= 5 or _draws(tuple(adj)))
 
 
 def _kernel(adj: list[int]) -> list[int]:

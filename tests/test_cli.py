@@ -486,6 +486,39 @@ def test_graph6_file_error_after_the_first_block(capsys, monkeypatch, tmp_path, 
     assert err == "error: " + message.format(path=path) + "\n"
 
 
+# three (9,14) graphs: a path with six chords from one vertex
+NINE_FOURTEEN = [
+    encode_graph6(build_graph(9, [(i, i + 1) for i in range(8)] + [(s, j) for j in chords]))
+    for s, chords in ((0, range(2, 8)), (1, range(3, 9)), (0, range(3, 9)))
+]
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ([], "{path} holds no graph6 line"),
+        (NINE_FOURTEEN + ["H?"], "{path}:4: graph6 body has 1 characters, expected 6 for n=9"),
+    ],
+    ids=["empty", "bad-last-line"],
+)
+def test_file_fed_level_runs_before_the_builtin_ones(capsys, monkeypatch, tmp_path, lines, message):
+    # a bad file is an error before any built-in chain level is searched
+    path = tmp_path / "level.g6"
+    path.write_text("".join(line + "\n" for line in lines))
+    real, calls = extremal.run_level, []
+
+    def recorded(n, m, k, **kwargs):
+        calls.append((n, m, kwargs["graph6_path"]))
+        return real(n, m, k, **kwargs)
+
+    monkeypatch.setattr(extremal, "run_level", recorded)
+    code, out, err = invoke(
+        capsys, "extremal", "-n", "9", "-k", "5", "--from-graph6", str(path)
+    )
+    assert (code, out, err) == (2, "", "error: " + message.format(path=path) + "\n")
+    assert calls == [(9, 14, str(path))]
+
+
 def test_extremal_rejects_from_graph6_it_would_not_read(capsys):
     # no construction at (6, k=4): level descent is built-in only
     code, out, err = invoke(
@@ -634,6 +667,41 @@ def test_color_input_reads_a_60_vertex_graph6_file_as_graph6(capsys, tmp_path):
     assert code == 1, err
     assert invoke(capsys, "color", "-k", "3", "--graph6", text)[:2] == (1, out)
     assert parse(out)["status"] == "UNSAT"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["extremal", "-n", "5", "-k", "5", "--budget-nodes", "two"],
+         "argument --budget-nodes: expected an integer >= 0, got 'two'"),
+        (["extremal", "-n", "5", "-k", "5", "--jobs", "two"],
+         "argument --jobs: expected an integer >= 1, got 'two'"),
+        (["color", "-k", "5"], "supply --graph6 TEXT or --input FILE"),
+        (["color", "-k", "5", "--graph6", ""], "empty graph6 line"),
+        (["color", "-k", "5", "--graph6", "&B?"], "digraph6 input is not supported"),
+        (["validate", "-k", "5", "--input", "list.json"], "document must be a JSON object"),
+        (["construct", "matching", "-n", "0"], "matching needs n >= 1, got n=0"),
+        (["construct", "disjoint-copies", "--base", "g5", "--copies", "0"],
+         "copies must be >= 1, got 0"),
+        (["extremal", "-n", "0", "-k", "5"], "need n >= 1, got n=0"),
+        (["extremal", "-n", "5", "-k", "2"], "need k >= 3, got k=2"),
+    ],
+    ids=[
+        "budget-not-int", "jobs-not-int", "color-no-source", "color-empty-graph6",
+        "color-digraph6", "validate-list", "matching-n-0", "copies-0", "extremal-n-0",
+        "extremal-k-2",
+    ],
+)
+def test_usage_error_exits_2_with_its_message(capsys, monkeypatch, tmp_path, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[]")
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse rejects a flag's value itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.endswith(f"error: {message}\n"), captured.err
 
 
 def _python(*argv):
