@@ -99,7 +99,7 @@ def _load_graph(args):
     # "{" is also the graph6 size byte of n=60, but no graph6 line holds '"'
     if text.startswith("{") and '"' in text:
         return decode_colored(text).graph
-    graphs = list(read_graph6_file(args.input))
+    graphs = [g for _, g in read_graph6_file(args.input)]
     if len(graphs) > 1:
         raise CodecError(
             f"{args.input} holds {len(graphs)} graph6 lines; color searches one graph"

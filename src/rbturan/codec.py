@@ -40,11 +40,24 @@ def _pairs(n: int) -> tuple[Edge, ...]:
     return tuple((u, v) for v in range(n - 1, 0, -1) for u in range(v - 1, -1, -1))
 
 
-def decode_graph6(line: str) -> Graph:
-    """Decode one graph6 line (optional '>>graph6<<' header tolerated)."""
+def _body(line: str) -> str:
+    """A graph6 line without its surrounding whitespace and any
+    '>>graph6<<' header."""
     s = line.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):].strip()
+    return s
+
+
+def graph6_width(n: int) -> int:
+    """The length of the graph6 line of every graph on n <= 62 vertices:
+    the size character, then n(n-1)/2 bits at 6 a character."""
+    return 1 + (n * (n - 1) // 2 + 5) // 6
+
+
+def decode_graph6(line: str) -> Graph:
+    """Decode one graph6 line (optional '>>graph6<<' header tolerated)."""
+    s = _body(line)
     if not s:
         raise CodecError("empty graph6 line")
     if s[0] == ":" or s[0] == ";":
@@ -59,7 +72,7 @@ def decode_graph6(line: str) -> Graph:
         raise CodecError(f"graph6 size field exceeds supported n <= {MAX_N}")
     body = s[1:]
     nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
+    need = graph6_width(n) - 1
     if len(body) != need:
         raise CodecError(
             f"graph6 body has {len(body)} characters, expected {need} for n={n}"
@@ -102,24 +115,26 @@ def encode_graph6(g: Graph) -> str:
     return "".join(chars)
 
 
-def read_graph6_file(path: str) -> Iterator[Graph]:
+def read_graph6_file(path: str) -> Iterator[tuple[str, Graph]]:
     """The graphs of a file with one graph6 line per graph, read a line at a
-    time; blank lines are skipped.  Errors surface as the file is read: a
-    bad line is reported as path:line when it is reached, and a file with
-    no graph6 line once it is read to the end."""
+    time, each with its line, stripped of whitespace and any header, which
+    is the graph's encoding (`encode_graph6`); blank lines are skipped.
+    Errors surface as the file is read: a bad line is reported as
+    path:line when it is reached, and a file with no graph6 line once it
+    is read to the end."""
     found = False
     with open(path, "r", encoding="ascii") as fh:
         try:
             for number, line in enumerate(fh, 1):  # 1-based, blank lines counted
-                line = line.strip()
-                if not line:
+                if line.isspace():
                     continue
+                line = _body(line)
                 try:
                     g = decode_graph6(line)
                 except CodecError as exc:
                     raise CodecError(f"{path}:{number}: {exc}") from None
                 found = True
-                yield g
+                yield line, g
         except UnicodeDecodeError:
             raise CodecError(f"{path} is not a graph6 file: it holds non-ASCII bytes") from None
     if not found:

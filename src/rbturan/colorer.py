@@ -27,20 +27,23 @@ search tries further colors at j after backtracking.
 The graphs of a level are searched together.  The search at position j
 depends on the positions up to j only through how their edges meet, so
 each graph's static order, with its vertices renamed by first occurrence
-along it, gives a key of two names per position, and graphs whose keys
-agree through position j take the same steps up to j.  A group of graphs
-with one number of edges sorts its keys into a prefix trie: a node is the
-run of members that share its prefix, and its bucket is built once for
-all of them.  One depth-first walk over (trie node, partial coloring)
-tries the colors at a node, then at its next sibling under the same
-colors.  A member's own search is the walk restricted to its path, so
-its nodes are the color tries made at the nodes of its path.  A member
-that reaches a complete coloring is SAT, with the tries on the stack at
+along it, gives a key of one code per position, the index of its pair of
+names, and graphs whose keys agree through position j take the same
+steps up to j.  A group of graphs with one number of edges is built from
+their keys alone, sorted into a prefix trie: a node is the run of
+members that share its prefix, and its bucket is built once for all of
+them.  One depth-first walk over (trie node, partial coloring) tries the
+colors at a node, then at its next sibling under the same colors.  A
+member's own search is the walk restricted to its path, so its nodes
+are the color tries made at the nodes of its path.  A member that
+reaches a complete coloring is SAT, with the tries on the stack at
 that moment and a certificate read through its own static order; it
 then leaves the walk, which enters no node whose members have all left.
 So every member's status, nodes and certificate are those of its own
 search.  A node budget bounds the tries of one graph, so a budgeted
-search takes its graphs one at a time, each a group of one.
+search takes its graphs one at a time, each a group of one.  A member's
+graph is needed only once it is SAT, for its certificate, so a caller
+that holds keys (`search_keys`) need hold no graph until then.
 
 One engine, `_Group.walk`, yields the canonical solutions in search
 order.  It runs in first mode (`find_colorings`, and `find_coloring` as
@@ -53,9 +56,9 @@ deep, so the depth of the search is not bounded by the recursion limit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graphs import ColoredGraph, Graph, GraphError, normalize_colors
 
@@ -93,11 +96,14 @@ def _order_positions(g: Graph) -> list[int]:
     return sorted(range(len(sums)), key=sums.__getitem__, reverse=True)
 
 
-def _key(g: Graph) -> list[int]:
-    """The endpoints of g's edges in static order, two per position, with
-    the vertices renamed 0, 1, ... by first occurrence along that order
-    and each edge's smaller name first.  The search at a position depends
-    on the positions up to it only through this prefix."""
+def search_key(g: Graph, n: int | None = None) -> bytes:
+    """One code per position of g's static order: the edge's endpoints,
+    with the vertices renamed 0, 1, ... by first occurrence along that
+    order, as the index b(b-1)/2 + a of the pair a < b (see `_pairs`).
+    The search at a position depends on the positions up to it only
+    through this prefix.  The codes are bytes that sort as the codes do,
+    `_code_bytes(n)` a code, high byte first, for a group of graphs on up
+    to n vertices (default g.n): one byte a code up to 23 vertices."""
     names = [-1] * g.n
     key: list[int] = []
     count = 0
@@ -112,8 +118,22 @@ def _key(g: Graph) -> list[int]:
         if b < 0:
             b = names[v] = count
             count += 1
-        key += (a, b) if a < b else (b, a)
-    return key
+        key.append(b * (b - 1) // 2 + a if a < b else a * (a - 1) // 2 + b)
+    width = _code_bytes(g.n if n is None else n)
+    return bytes(key) if width == 1 else b"".join(code.to_bytes(width, "big") for code in key)
+
+
+def _code_bytes(n: int) -> int:
+    """The bytes of a key code of graphs on n vertices: the codes lie
+    below n(n-1)/2."""
+    return max(1, ((n * (n - 1) // 2 - 1).bit_length() + 7) // 8)
+
+
+@functools.cache
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The pair (a, b) of each key code below n(n-1)/2, the codes of
+    graphs on n vertices: for each b in turn, a from 0 up to b - 1."""
+    return tuple((a, b) for b in range(n) for a in range(b))
 
 
 def _arms(
@@ -185,7 +205,9 @@ def _colored(g: Graph, order: list[int], colors_by_pos: list[int]) -> ColoredGra
 class _Group:
     """Graphs with the same number of edges m, searched together.
 
-    Members are the graphs sorted by key (see `_key`), numbered by slot.
+    A group is built from its members' keys alone (see `search_key`),
+    sorted and joined, m codes per member; a member is its slot in that
+    order.  Codes of more than one byte are read into a list of ints.
     A trie node at depth j+1 stands for the members whose keys agree
     through position j, a run of slots from lo[node] up to hi[node], and
     holds the edge at j.  Node 0 is the root.  A node's children are the
@@ -195,32 +217,25 @@ class _Group:
     indexed by node; a bucket is built the first time the walk enters its
     node."""
 
-    def __init__(self, graphs: list[Graph], k: int, max_colors: int | None):
+    def __init__(self, keys: bytes, size: int, n: int, k: int, max_colors: int | None):
         if k < 3:
             raise GraphError(f"coloring search needs k >= 3, got k={k}")
         if max_colors is not None and max_colors < 1:
             raise GraphError(f"max_colors must be positive, got {max_colors}")
-        m = len(graphs[0].edges)
-        if any(len(g.edges) != m for g in graphs):
-            raise GraphError("a group search needs graphs with the same number of edges")
-        self.graphs = graphs
+        width = _code_bytes(n)
+        self.keys = keys if width == 1 else [
+            int.from_bytes(keys[at : at + width], "big") for at in range(0, len(keys), width)
+        ]
+        self.size = size
         self.k = k
-        self.m = m
-        self.n = max(g.n for g in graphs)
+        self.m = m = len(self.keys) // size
+        self.n = n
+        self.pairs = _pairs(n)
         self.max_colors = m if max_colors is None else max_colors
-        # names stay below 2m, so up to 128 edges a key fits in bytes, and
-        # past that a tuple holds any name.  Bytes keep the level searches
-        # compact: one array("H") for every size, tried instead, raised the
-        # peak RSS of refuting the shuffled (9,14) file by 0.18 MB
-        pack = bytes if m <= 128 else tuple
-        keys = [pack(_key(g)) for g in graphs]
-        self.members = sorted(range(len(graphs)), key=keys.__getitem__)  # input index by slot
-        # every key in one sequence, slot after slot
-        self.keys = pack(chain.from_iterable(keys[i] for i in self.members))
         self.eu, self.ev = [0], [0]
-        self.lo, self.hi = [0], [len(graphs)]
+        self.lo, self.hi = [0], [size]
         self.first, self.last = [0], [0]
-        self.alive = [len(graphs)]
+        self.alive = [size]
         self.tries = [0]
         self.buckets: list[Bucket | None] = [None]
         self.status = UNSAT
@@ -228,19 +243,20 @@ class _Group:
     def _expand(self, node: int, j: int) -> int:
         """Make the children of node, whose edges are at position j; returns
         the first."""
-        keys, eu, ev, lo, hi = self.keys, self.eu, self.ev, self.lo, self.hi
-        stride = 2 * self.m
+        keys, pairs, eu, ev, lo, hi = self.keys, self.pairs, self.eu, self.ev, self.lo, self.hi
+        m = self.m
         self.first[node] = len(eu)
         slot, end = lo[node], hi[node]
         while slot < end:
-            at = slot * stride + 2 * j
-            a, b = keys[at], keys[at + 1]
+            at = slot * m + j
+            code = keys[at]
             start = slot
             slot += 1
-            at += stride
-            while slot < end and keys[at] == a and keys[at + 1] == b:
+            at += m
+            while slot < end and keys[at] == code:
                 slot += 1
-                at += stride
+                at += m
+            a, b = pairs[code]
             eu.append(a)
             ev.append(b)
             lo.append(start)
@@ -382,29 +398,44 @@ class _Group:
             used[eu[node]] &= ~bit
             used[ev[node]] &= ~bit
 
-    def outcomes(self, node_budget: int | None = None) -> list[SearchOutcome]:
-        """Run the walk in first mode: the outcome of each graph, in input
-        order.  A SAT member's nodes are the tries on the stack when it
-        reached its first solution; every other member's are the tries on
-        its path once the walk ends, none below the last node made on it."""
-        graphs, lo, hi, members = self.graphs, self.lo, self.hi, self.members
-        found: list[SearchOutcome | None] = [None] * len(graphs)
+    def outcomes(
+        self, graph_of: Callable[[int], Graph], node_budget: int | None = None
+    ) -> list[SearchOutcome]:
+        """Run the walk in first mode: the outcome of each member, by slot.
+        A SAT member's nodes are the tries on the stack when it reached its
+        first solution, and its certificate is read through the static
+        order of its graph, graph_of(slot); every other member's nodes are
+        the tries on its path once the walk ends, none below the last node
+        made on it."""
+        lo, hi = self.lo, self.hi
+        found: list[SearchOutcome | None] = [None] * self.size
         for leaf, colors, nodes in self.walk(True, node_budget):
             for slot in range(lo[leaf], hi[leaf]):
-                g = graphs[members[slot]]
-                cert = _colored(g, _order_positions(g), colors)
-                found[members[slot]] = SearchOutcome(SAT, cert, nodes)
+                g = graph_of(slot)
+                found[slot] = SearchOutcome(SAT, _colored(g, _order_positions(g), colors), nodes)
         # tries on the path to each node; children are made after parents
         first, last = self.first, self.last
         total = self.tries[:]
         for node in range(len(total)):
             if first[node] == last[node]:  # a leaf, or a node never expanded
                 for slot in range(lo[node], hi[node]):
-                    if found[members[slot]] is None:
-                        found[members[slot]] = SearchOutcome(self.status, None, total[node])
+                    if found[slot] is None:
+                        found[slot] = SearchOutcome(self.status, None, total[node])
             for child in range(first[node], last[node]):
                 total[child] += total[node]
         return found  # type: ignore[return-value]
+
+
+def search_keys(
+    keys: bytes, size: int, n: int, k: int, graph_of: Callable[[int], Graph]
+) -> list[SearchOutcome]:
+    """`find_coloring` with the default color bound on each of `size`
+    graphs on n vertices with one number of edges, given by their keys
+    alone, sorted and joined (see `search_key`), in one search over their
+    shared position prefixes: the outcome of each, in key order.
+    graph_of(i) gives the graph of the i-th key; it is asked for only when
+    that graph is SAT, for its certificate."""
+    return _Group(keys, size, n, k, None).outcomes(graph_of) if size else []
 
 
 def find_colorings(
@@ -412,12 +443,22 @@ def find_colorings(
 ) -> list[SearchOutcome]:
     """`find_coloring` with the default color bound on each of graphs,
     which share one number of edges, in one search over their shared
-    position prefixes; the outcomes, in input order, equal the
-    graph-by-graph ones.  A node budget holds for each graph on its own,
-    so a budgeted call searches the graphs one by one."""
+    position prefixes (`search_keys`); the outcomes, in input order, equal
+    the graph-by-graph ones.  A node budget holds for each graph on its
+    own, so a budgeted call searches the graphs one by one."""
     if node_budget is not None:
         return [find_coloring(g, k, node_budget=node_budget) for g in graphs]
-    return _Group(graphs, k, None).outcomes() if graphs else []
+    if any(len(g.edges) != len(graphs[0].edges) for g in graphs):
+        raise GraphError("a group search needs graphs with the same number of edges")
+    n = max((g.n for g in graphs), default=0)
+    keys = [search_key(g, n) for g in graphs]
+    order = sorted(range(len(graphs)), key=keys.__getitem__)
+    joined = b"".join(keys[i] for i in order)
+    outs = search_keys(joined, len(graphs), n, k, lambda slot: graphs[order[slot]])
+    found: list[SearchOutcome] = [None] * len(graphs)  # type: ignore[list-item]
+    for i, out in zip(order, outs):
+        found[i] = out
+    return found
 
 
 def find_coloring(
@@ -430,7 +471,8 @@ def find_coloring(
     colors (default e(g), which makes UNSAT unconditional) and no rainbow
     P_k.  Budget exhaustion is reported as BUDGET_EXCEEDED, never UNSAT.
     """
-    return _Group([g], k, max_colors).outcomes(node_budget)[0]
+    group = _Group(search_key(g), 1, g.n, k, max_colors)
+    return group.outcomes(lambda slot: g, node_budget)[0]
 
 
 def iter_coloring_classes(g: Graph, k: int) -> list[ColoredGraph]:
@@ -438,7 +480,8 @@ def iter_coloring_classes(g: Graph, k: int) -> list[ColoredGraph]:
     with any number of colors, each as its canonical (first-occurrence
     over canonical edge order) representative, sorted for determinism."""
     order = _order_positions(g)
-    reps = [_colored(g, order, colors) for _, colors, _ in _Group([g], k, None).walk(False)]
+    group = _Group(search_key(g), 1, g.n, k, None)
+    reps = [_colored(g, order, colors) for _, colors, _ in group.walk(False)]
     reps.sort(key=lambda cg: cg.colors)
     return reps
 

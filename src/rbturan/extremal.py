@@ -14,36 +14,61 @@ reduced, and refuting all reduced planar levels (n', floor(3n'/2)+1) for
 n' <= N refutes every planar graph above the bound for every n' <= N.
 Values claimed at other bounds are refuted without the reduction filter.
 
-A level is one streaming pass: its candidates pass the filters and are
-searched in blocks of at most BLOCK (1024) graphs, and only the tallies,
-a running digest and the first SAT certificate outlive a block.  So a
-level fed from a graph6 file, read a line at a time, holds at most one
+A level is searched in key order.  Its candidates stream through the
+filters in blocks of at most BLOCK (1024) graphs, and of each survivor
+only its graph6 line, its search key in its block's sorted run of keys
+(the part not shared with the key before it, behind 3 bytes) and then
+its outcome stay, in flat bytes: no object per candidate, and 15.5 bytes
+on average over the (9,14) classes of `bench/data/planar_9_14.g6` in its
+line order, 17.3 shuffled.  The blocks' sorted runs are then merged, and
+every BLOCK consecutive keys are searched as one group, so the groups,
+and the search work, do not depend on the order of the source.  A SAT
+candidate's graph is decoded again from its line for its certificate;
+the tallies, the digest and the first SAT are made in source order.  So
+a level fed from a graph6 file, read a line at a time, holds at most one
 block of graphs however long the file is; a built-in level's graphs are
 held by the ladder that made them: the full ladder of its vertex count,
 kept for the process, or for a reduced level a degree-window ladder that
-holds only that level and goes with it.
+holds only that level and goes with it.  A node budget holds per graph,
+so a budgeted level searches its graphs one at a time, in source order,
+as they stream.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-from collections import Counter
+import heapq
 from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Iterator
 
-from .codec import colored_to_doc, encode_graph6, read_graph6_file
-from .colorer import BUDGET_EXCEEDED, SAT, UNSAT, SearchOutcome, find_colorings
+from .codec import (
+    colored_to_doc,
+    decode_graph6,
+    encode_graph6,
+    graph6_width,
+    read_graph6_file,
+)
+from .colorer import (
+    BUDGET_EXCEEDED,
+    SAT,
+    UNSAT,
+    SearchOutcome,
+    find_coloring,
+    search_key,
+    search_keys,
+)
 from .constructions import FAMILY_TABLE, make, validate_construction
 from .generation import LevelLadder, class_count
 from .graphs import ColoredGraph, Graph, GraphError
 from .planarity import is_planar, planar_edge_cap
 
 BUILTIN_MAX_N = 8
-# The most filtered candidates a level holds at once.  Every level of the
-# reduced chain up to BUILTIN_MAX_N is one block (the largest, (8,13), has
-# 600), so a chain level is searched as one group.
+# The most filtered candidates a level holds as graphs at once, and the
+# most it searches as one group.  Every level of the reduced chain up to
+# BUILTIN_MAX_N is one block (the largest, (8,13), has 600); a level of
+# more blocks is grouped in key order, whatever order its source is in.
 BLOCK = 1024
 
 
@@ -76,21 +101,23 @@ def candidate_blocks(
     reduced: bool = False,
     planar: bool = False,
     graph6_path: str | None = None,
-) -> Iterator[list[Graph]]:
+) -> Iterator[list[tuple[str, Graph]]]:
     """Pairwise non-isomorphic (n, m) graphs surviving the requested
-    filters, in source order and in blocks of at most BLOCK.  ``counts``
-    gets the count after each stage, keyed as in a level report:
-    ``candidates`` (all classes), ``reduced`` and ``planar``; a filter that
-    is off leaves the count unchanged.  The counts are final once the
-    blocks run out.
+    filters, each with its graph6 line, in source order and in blocks of
+    at most BLOCK.  ``counts`` gets the count after each stage, keyed as
+    in a level report: ``candidates`` (all classes), ``reduced`` and
+    ``planar``; a filter that is off leaves the count unchanged.  The
+    counts are final once the blocks run out.
 
-    A graph6 file's ``candidates`` are the lines read.  A built-in
-    level's are the number of (n, m) classes from ``class_count``, which
-    enumerates nothing: a reduced built-in level generates only the
-    classes of minimum degree >= 2 (a degree-window ladder), which hold
-    every reduced class in the order and labelling of the full level,
-    and any other built-in level is the full ladder's.  ``reduced`` and
-    ``planar`` count the graphs that pass each filter.
+    A graph6 file's ``candidates`` are the lines read, and each graph
+    comes with its own line.  A built-in level's are the number of (n, m)
+    classes from ``class_count``, which enumerates nothing: a reduced
+    built-in level generates only the classes of minimum degree >= 2 (a
+    degree-window ladder), which hold every reduced class in the order
+    and labelling of the full level, and any other built-in level is the
+    full ladder's; a built-in graph is encoded once it passes the
+    filters.  ``reduced`` and ``planar`` count the graphs that pass each
+    filter.
 
     Filters run in cost order: the degree-based reduction filter first,
     then the Euler bound inside the full planarity test.  Built-in
@@ -108,31 +135,33 @@ def candidate_blocks(
             f"supply --from-graph6 for n={n}"
         )
     elif reduced:  # the reduced classes lie among those of minimum degree >= 2
-        source = iter(LevelLadder(n, target=m).level(m))
+        source = (("", g) for g in LevelLadder(n, target=m).level(m))
     else:
-        source = iter(_ladder(n).level(m))
+        source = (("", g) for g in _ladder(n).level(m))
     counts.update(
         candidates=0 if graph6_path is not None else class_count(n, m), reduced=0, planar=0
     )
-    block: list[Graph] = []
+    block: list[tuple[str, Graph]] = []
     # decoding and each filter run over a whole batch, which is cheaper than
     # taking one graph through every phase; a batch is never more than the
     # room left in the block, so no more than BLOCK graphs are held
     while batch := list(islice(source, BLOCK - len(block))):
-        for g in batch:
+        for line, g in batch:
             if g.n != n or len(g.edges) != m:  # only a file can hold such a graph
                 raise GraphError(
-                    f"{graph6_path}: graph6 candidate {encode_graph6(g)} has "
+                    f"{graph6_path}: graph6 candidate {line} has "
                     f"n={g.n}, m={len(g.edges)}; expected ({n},{m})"
                 )
         if graph6_path is not None:
             counts["candidates"] += len(batch)
         if reduced:
-            batch = [g for g in batch if is_reduced(g)]
+            batch = [c for c in batch if is_reduced(c[1])]
         counts["reduced"] += len(batch)
         if planar:
-            batch = [g for g in batch if is_planar(g)]
+            batch = [c for c in batch if is_planar(c[1])]
         counts["planar"] += len(batch)
+        if graph6_path is None:
+            batch = [(encode_graph6(g), g) for _, g in batch]
         block += batch
         del batch  # only the block holds these graphs, so its reader can let them go
         if len(block) == BLOCK:
@@ -178,12 +207,119 @@ class LevelReport:
         }
 
 
+# a level's search outcomes, stored one byte per candidate as an index here
+_STATUSES = (UNSAT, SAT, BUDGET_EXCEEDED)
+
+
 # a function of its own because bench/tracing.py wraps it by name to time each block's search
-def _solve_chunk(block: list[Graph], k: int, node_budget: int | None) -> list[SearchOutcome]:
-    """Run the coloring search on one block of candidates, as one group
-    (see `colorer.find_colorings`): the outcome of each graph, in block
-    order."""
-    return find_colorings(block, k, node_budget=node_budget)
+def _solve_chunk(keys: bytes, lines: bytes, n: int, k: int) -> list[SearchOutcome]:
+    """Run the coloring search on one block of candidates as one group
+    (see `colorer.search_keys`), given by their keys and by their graph6
+    lines, each joined in key order: the outcome of each, in that order.
+    A SAT candidate's graph, which its certificate needs, is decoded again
+    from its line."""
+    width = graph6_width(n)
+
+    def graph_of(i: int) -> Graph:
+        return decode_graph6(lines[i * width : i * width + width].decode())
+
+    return search_keys(keys, len(lines) // width, n, k, graph_of)
+
+
+def _front_coded(keys: list[bytes]) -> bytes:
+    """keys in sorted order, each a record: the length of the prefix it
+    shares with the key before it (at most 255), its index in keys in two
+    bytes (BLOCK < 2**16), then the rest of it."""
+    run = bytearray()
+    last = None
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        key = keys[i]
+        value = int.from_bytes(key, "big")
+        # keys have one length, so the bytes they share end at the
+        # highest bit where they differ
+        same = 0 if last is None else len(key) - ((value ^ last).bit_length() + 7) // 8
+        same = min(same, 255)
+        run += bytes((same, i >> 8, i & 255))
+        run += key[same:]
+        last = value
+    return bytes(run)
+
+
+def _decoded(run: bytes, length: int, base: int) -> Iterator[tuple[bytes, int]]:
+    """The keys of a `_front_coded` run of keys of `length` bytes, in
+    order, each with base plus its index."""
+    key = bytearray(length)
+    at = 0
+    while at < len(run):
+        same, i = run[at], run[at + 1] << 8 | run[at + 2]
+        at += 3 + length - same
+        key[same:] = run[at - length + same : at]
+        yield bytes(key), base + i
+
+
+def _search_in_key_order(
+    blocks: Iterator[list[tuple[str, Graph]]], n: int, k: int
+) -> tuple[bytearray, bytearray, int, tuple[int, ColoredGraph] | None]:
+    """Search every candidate of blocks, in blocks of BLOCK consecutive
+    keys: the candidates' graph6 lines joined and their outcomes (indices
+    into _STATUSES), both in source order, the node total and the first
+    SAT candidate with its certificate.
+
+    As the blocks stream in, each candidate leaves its line and, in its
+    block's run of keys sorted and front-coded, its key, and its graph is
+    let go.  The runs are then merged lazily, one key per run held at a
+    time, and each BLOCK keys in turn are searched as one group, so graphs
+    that share a key prefix share its search whichever blocks of the
+    source they came in."""
+    width = graph6_width(n)
+    lines = bytearray()
+    runs: list[Iterator[tuple[bytes, int]]] = []
+    count = 0
+    for block in blocks:
+        keys = [search_key(g) for _, g in block]
+        lines += "".join(line for line, _ in block).encode()
+        # let go of the graphs before the run is made: the block's list
+        # stays in candidate_blocks until the next block is asked for
+        block.clear()
+        runs.append(_decoded(_front_coded(keys), len(keys[0]), count))
+        count += len(keys)
+        del keys
+    merged = heapq.merge(*runs)
+    statuses = bytearray(count)
+    nodes, first_sat = 0, None
+    while True:
+        group, members = bytearray(), []
+        for key, i in islice(merged, BLOCK):
+            group += key
+            members.append(i)
+        if not members:
+            break
+        joined = b"".join([lines[i * width : i * width + width] for i in members])
+        for i, out in zip(members, _solve_chunk(group, joined, n, k)):
+            statuses[i] = _STATUSES.index(out.status)
+            nodes += out.nodes
+            if out.sat and (first_sat is None or i < first_sat[0]):
+                first_sat = (i, out.certificate)
+    return lines, statuses, nodes, first_sat
+
+
+def _search_in_line_order(
+    blocks: Iterator[list[tuple[str, Graph]]], k: int, node_budget: int
+) -> tuple[bytearray, bytearray, int, tuple[int, ColoredGraph] | None]:
+    """What `_search_in_key_order` gives, for a search whose node budget
+    holds per graph: one graph at a time, in source order, as the blocks
+    stream in."""
+    lines, statuses = bytearray(), bytearray()
+    nodes, first_sat = 0, None
+    for block in blocks:
+        for line, g in block:
+            out = find_coloring(g, k, node_budget=node_budget)
+            if out.sat and first_sat is None:
+                first_sat = (len(statuses), out.certificate)
+            lines += line.encode()
+            statuses.append(_STATUSES.index(out.status))
+            nodes += out.nodes
+    return lines, statuses, nodes, first_sat
 
 
 def run_level(
@@ -199,27 +335,25 @@ def run_level(
     """Run the complete coloring search over every filtered candidate of
     the (n, m) level.  The level PASSes when every candidate is UNSAT;
     any budget-exceeded outcome poisons the level (BUDGET), it is never
-    silently dropped."""
+    silently dropped.  The candidates are searched in key order (or in
+    source order under a budget), and the report is made in source order."""
     if m < 0:
         raise GraphError(f"need m >= 0, got m={m}")
     if k < 3:
         raise GraphError(f"need k >= 3, got k={k}")
     counts: dict[str, int] = {}
-    tally: Counter[str] = Counter()
-    nodes, index, first_sat = 0, 0, None
-    digest = hashlib.sha256()  # over the lines "i:graph6:status", joined by "\n"
     blocks = candidate_blocks(n, m, counts, reduced=reduced, planar=planar, graph6_path=graph6_path)
-    for block in blocks:
-        outcomes = _solve_chunk(block, k, node_budget)
-        for g, out in zip(block, outcomes):
-            line = f"{index}:{encode_graph6(g)}:{out.status}"
-            digest.update((f"\n{line}" if index else line).encode())
-            tally[out.status] += 1
-            nodes += out.nodes
-            if out.sat and first_sat is None:
-                first_sat = (index, out.certificate)
-            index += 1
-        del block, outcomes  # let go of this block before the next is read
+    if node_budget is None:
+        lines, statuses, nodes, first_sat = _search_in_key_order(blocks, n, k)
+    else:
+        lines, statuses, nodes, first_sat = _search_in_line_order(blocks, k, node_budget)
+    width = graph6_width(n)
+    names = [status.encode() for status in _STATUSES]
+    digest = hashlib.sha256()  # over the lines "i:graph6:status", joined by "\n"
+    for i, code in enumerate(statuses):
+        at = i * width
+        digest.update(b"%s%d:%s:%s" % (b"\n" if i else b"", i, lines[at : at + width], names[code]))
+    tally = {status: statuses.count(code) for code, status in enumerate(_STATUSES)}
     counts.update(unsat=tally[UNSAT], sat=tally[SAT], budget_exceeded=tally[BUDGET_EXCEEDED])
     if tally[SAT]:
         status = "FAIL"

@@ -33,7 +33,7 @@ def enumerate_candidates(
     blocks = candidate_blocks(
         n, m, counts, reduced=reduced, planar=planar, graph6_path=graph6_path
     )
-    return tuple(g for block in blocks for g in block), counts
+    return tuple(g for block in blocks for _, g in block), counts
 
 
 def replay_witness(cg: ColoredGraph, w: RainbowWitness, k: int) -> bool:

@@ -404,12 +404,13 @@ def test_searched_achiever_passes_the_construction_gate(capsys, monkeypatch):
     # edges all share one color is improper, and the run is a usage error
     solve = extremal._solve_chunk
 
-    def one_color(block, k, node_budget):
+    def monochrome(cert):
+        return ColoredGraph(cert.graph, (1,) * len(cert.edges))
+
+    def one_color(*args):
         return [
-            dataclasses.replace(out, certificate=ColoredGraph(g, (1,) * len(g.edges)))
-            if out.sat
-            else out
-            for g, out in zip(block, solve(block, k, node_budget))
+            dataclasses.replace(out, certificate=monochrome(out.certificate)) if out.sat else out
+            for out in solve(*args)
         ]
 
     monkeypatch.setattr(extremal, "_solve_chunk", one_color)
@@ -469,7 +470,8 @@ def test_refute_from_graph6_file(capsys, tmp_path):
 )
 def test_graph6_file_error_after_the_first_block(capsys, monkeypatch, tmp_path, late, message):
     # with blocks of 5, the 12 reduced planar (6,9) classes before line 22
-    # fill two blocks, and both are searched before line 22 is read
+    # fill two blocks, but a level is searched in key order only once the
+    # whole file is read, so no block is searched before line 22 fails
     monkeypatch.setattr(extremal, "BLOCK", 5)
     lines = [encode_graph6(g) for g in LevelLadder(6).level(9)]
     path = tmp_path / "level.g6"
@@ -482,7 +484,7 @@ def test_graph6_file_error_after_the_first_block(capsys, monkeypatch, tmp_path, 
         capsys, "refute", "-n", "6", "-m", "9", "-k", "5", "--from-graph6", str(path)
     )
     assert code == 2 and out == ""
-    assert len(searched) == 2
+    assert searched == []
     assert err == "error: " + message.format(path=path) + "\n"
 
 

@@ -13,12 +13,13 @@ from rbturan.colorer import (
     UNSAT,
     OracleSizeError,
     _bucket,
-    _key,
     _order_positions,
+    _pairs,
     find_coloring,
     find_colorings,
     iter_coloring_classes,
     oracle_enumerate,
+    search_key,
 )
 from rbturan.constructions import double_wheel
 from rbturan.generation import LevelLadder
@@ -211,8 +212,7 @@ def test_buckets_hold_every_path_once_at_its_largest_position():
     ladder = LevelLadder(6)
     for m in range(16):
         for g in ladder.level(m):
-            key = _key(g)
-            endpoints = list(zip(key[0::2], key[1::2]))
+            endpoints = [_pairs(g.n)[code] for code in search_key(g)]
             order = _order_positions(g)
             for k in (3, 4, 5, 6):
                 paths = _brute_force_paths(g, k)
@@ -233,7 +233,10 @@ def test_static_order_keeps_canonical_edge_order_among_equal_degree_sums():
     for g in (K4, C4, PRISM6, c6, build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)])):
         assert _order_positions(g) == list(range(len(g.edges))), g
     assert c6.edges == ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))
-    assert _key(c6) == [0, 1, 0, 2, 1, 3, 3, 4, 4, 5, 2, 5]
+    pairs = [_pairs(6)[code] for code in search_key(c6)]
+    assert pairs == [(0, 1), (0, 2), (1, 3), (3, 4), (4, 5), (2, 5)]
+    # a pair's code is its index in the table: b(b-1)/2 + a
+    assert search_key(c6) == bytes([0, 1, 4, 9, 14, 12])
     # with few distinct sums, each run of equal sums stays in edge order
     rng = random.Random(8)
     for _ in range(60):
@@ -242,6 +245,26 @@ def test_static_order_keeps_canonical_edge_order_among_equal_degree_sums():
         deg = g.degrees()
         sums = [deg[u] + deg[v] for u, v in g.edges]
         assert _order_positions(g) == sorted(range(len(sums)), key=lambda i: (-sums[i], i))
+
+
+def test_keys_past_23_vertices_take_two_bytes_a_code():
+    # on 24 vertices the codes reach 275, so each takes two bytes, high
+    # byte first, which sort as the codes do; a graph moved onto vertices
+    # 24..29 of 30 has the codes it has alone and searches as it does alone
+    def moved(g):
+        return build_graph(30, [(u + 24, v + 24) for u, v in g.edges])
+
+    wide = moved(PRISM6)
+    assert search_key(wide) == b"".join(code.to_bytes(2, "big") for code in search_key(PRISM6))
+    for k in (4, 5):
+        out, alone = find_coloring(wide, k), find_coloring(PRISM6, k)
+        assert (out.status, out.nodes) == (alone.status, alone.nodes)
+    # a group with graphs on 6 and on 30 vertices: each its own outcome
+    level = [g for g in LevelLadder(6).level(9) if is_planar(g)]
+    group = [moved(g) for g in level] + level
+    outs = find_colorings(group, 5)
+    assert outs == [find_coloring(g, 5) for g in group]
+    assert any(out.sat for out in outs) and not all(out.sat for out in outs)
 
 
 def test_double_wheel_k8_search_tree_is_frozen():

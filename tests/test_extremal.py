@@ -3,11 +3,13 @@ from __future__ import annotations
 import gc
 import hashlib
 import itertools
+import random
+import tracemalloc
 
 import networkx as nx
 import pytest
 
-from rbturan import codec, extremal
+from rbturan import codec, colorer, extremal
 from rbturan.codec import decode_graph6, encode_graph6
 from rbturan.colorer import BUDGET_EXCEEDED, SAT, UNSAT, find_coloring, oracle_enumerate
 from rbturan.constructions import validate_construction
@@ -284,8 +286,8 @@ def test_blocks_of_a_file_fed_level_add_up_to_the_whole_level(monkeypatch, tmp_p
     outcomes = [find_coloring(decode_graph6(line), 5) for line in planar]
     statuses = [out.status for out in outcomes]
     sat = [i for i, status in enumerate(statuses) if status == SAT]
-    # every filter drops lines, and SAT candidates sit in three blocks
-    # after the first
+    # every filter drops lines, and SAT candidates sit in three of the
+    # file's blocks after the first, though blocks are searched in key order
     assert len(lines) > len(reduced) > len(planar)
     assert sorted({i // 5 for i in sat}) == [1, 2, 3]
     assert lv.counts == {
@@ -333,6 +335,91 @@ def test_file_fed_level_holds_one_block_of_graphs(monkeypatch, tmp_path):
     assert max(live["read"] + live["search"]) - before <= 5 + 2
     assert len(live["read"]) == lv.counts["candidates"] == 84
     assert len(live["search"]) == lv.counts["planar"] // 5 == 16
+
+
+def _held_at_first_search(monkeypatch, path) -> tuple[int, int]:
+    """Bytes traced and objects tracked by the collector when run_level on
+    the (6,9) file at path searches its first block, once every line has
+    been read."""
+    held = []
+    solve = extremal._solve_chunk
+
+    def measured(*args):
+        if not held:
+            gc.collect()  # and with it the free lists
+            held.append((tracemalloc.get_traced_memory()[0], len(gc.get_objects())))
+        return solve(*args)
+
+    with monkeypatch.context() as patch:  # leaves nothing behind to count next time
+        patch.setattr(extremal, "_solve_chunk", measured)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_level(6, 9, 5, reduced=False, graph6_path=str(path))
+        finally:
+            tracemalloc.stop()
+    return held[0]
+
+
+def test_file_fed_level_holds_a_few_bytes_per_candidate(monkeypatch, tmp_path):
+    # a level is searched only once its file is read, so what it holds of
+    # each candidate until then is its line and its record in its block's
+    # run of keys, both in flat bytes: a few bytes and no object per
+    # candidate.  A Graph on 6 vertices with 9 edges alone takes more than
+    # 150 bytes
+    short, long = tmp_path / "short.g6", tmp_path / "long.g6"
+    _write_level_6_9(short, 4)
+    _write_level_6_9(long, 8)
+    _held_at_first_search(monkeypatch, short)  # the caches the level fills
+    short_bytes, short_objects = _held_at_first_search(monkeypatch, short)
+    long_bytes, long_objects = _held_at_first_search(monkeypatch, long)
+    more = 4 * 20  # planar candidates in 4 more passes
+    assert 0 < long_bytes - short_bytes <= 48 * more
+    assert abs(long_objects - short_objects) <= 4
+
+
+def _search_work(monkeypatch, path) -> tuple[dict, int, str, int, int]:
+    """counts, nodes and digest of the (6,9) file at path in blocks of 5,
+    with the number of blocks searched and of path buckets built."""
+    monkeypatch.setattr(extremal, "BLOCK", 5)
+    calls = {"_solve_chunk": 0, "_bucket": 0}
+    for owner, name in ((extremal, "_solve_chunk"), (colorer, "_bucket")):
+        def counted(*args, fn=getattr(owner, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    lv = run_level(6, 9, 5, reduced=False, graph6_path=str(path))
+    return lv.counts, lv.nodes, lv.digest, calls["_solve_chunk"], calls["_bucket"]
+
+
+def test_search_work_does_not_depend_on_the_line_order(monkeypatch, tmp_path):
+    # blocks follow key order, so a file in another line order is searched
+    # in the same groups: the same blocks, buckets and nodes.  Only the
+    # digest, over the lines in file order, differs
+    lines = [encode_graph6(g) for g in LevelLadder(6).level(9)] * 3
+    shuffled = lines[:]
+    random.Random(5).shuffle(shuffled)
+    work = []
+    for name, order in (("file", lines), ("reversed", lines[::-1]), ("shuffled", shuffled)):
+        path = tmp_path / f"{name}.g6"
+        path.write_text("".join(line + "\n" for line in order))
+        work.append(_search_work(monkeypatch, path))
+    (counts, nodes, digest, blocks, buckets), *others = work
+    assert counts["planar"] == 3 * 20 and blocks == 12
+    for other in others:
+        assert other[:2] == (counts, nodes) and other[3:] == (blocks, buckets)
+        assert other[2] != digest
+
+
+def test_digest_reads_each_line_without_its_header_and_blanks(tmp_path):
+    lines = [encode_graph6(g) for g in LevelLadder(6).level(9)]
+    clean, marked = tmp_path / "clean.g6", tmp_path / "marked.g6"
+    clean.write_text("".join(line + "\n" for line in lines))
+    marked.write_text("".join(f"  >>graph6<<{line} \t\n\n" for line in lines))
+    runs = [run_level(6, 9, 5, reduced=False, graph6_path=str(p)) for p in (clean, marked)]
+    assert runs[0].digest == runs[1].digest
+    assert runs[0].counts == runs[1].counts and runs[0].nodes == runs[1].nodes
 
 
 @pytest.mark.parametrize("n,k,want", [(5, 5, 7), (6, 5, 9), (5, 3, 2), (4, 4, 6)])
