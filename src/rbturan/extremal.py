@@ -37,7 +37,6 @@ as they stream.
 from __future__ import annotations
 
 import functools
-import hashlib
 import heapq
 from dataclasses import dataclass
 from itertools import islice
@@ -63,6 +62,17 @@ from .constructions import FAMILY_TABLE, make, validate_construction
 from .generation import LevelLadder, class_count
 from .graphs import ColoredGraph, Graph, GraphError
 from .planarity import is_planar, planar_edge_cap
+
+# The level digest's SHA-256 comes from the interpreter's own module:
+# hashlib would map OpenSSL's libcrypto, about 3.5 MB of every run's
+# peak RSS, for one digest per level.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 BUILTIN_MAX_N = 8
 # The most filtered candidates a level holds as graphs at once, and the
@@ -349,7 +359,7 @@ def run_level(
         lines, statuses, nodes, first_sat = _search_in_line_order(blocks, k, node_budget)
     width = graph6_width(n)
     names = [status.encode() for status in _STATUSES]
-    digest = hashlib.sha256()  # over the lines "i:graph6:status", joined by "\n"
+    digest = sha256()  # over the lines "i:graph6:status", joined by "\n"
     for i, code in enumerate(statuses):
         at = i * width
         digest.update(b"%s%d:%s:%s" % (b"\n" if i else b"", i, lines[at : at + width], names[code]))

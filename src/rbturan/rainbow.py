@@ -11,13 +11,18 @@ vertex (k-1 even) or a middle edge (k-1 odd), and from it two rainbow
 arms of (k-1)//2 edges that share no vertex and no color.  The arms of
 each vertex come from the walker, are built once for every middle at
 that vertex, and are stored bit-sliced: per vertex or color bit, the
-column of the arms that use it.  One loop meets the arms of each middle
-in turn.  A middle is two arm sets and the bits each side must avoid: a
-middle vertex is its own arm set twice with nothing to avoid, a middle
-edge the arm sets of its ends, each closed to the edge's color and far
-end.  An arm is met against all arms of the other side at once by ORing
-the other side's columns of its own bits; a path exists exactly when
-some arm leaves an arm of the other side outside that union.
+column of the arms that use it.  A middle is two arm sets and the bits
+each side must avoid: a middle vertex is its own arm set twice with
+nothing to avoid, a middle edge the arm sets of its ends, each closed to
+the edge's color and far end.  An arm is met against all arms of the
+other side at once by ORing the other side's columns of its own bits; a
+path exists exactly when some arm leaves an arm of the other side
+outside that union.
+
+One loop meets the middles in rounds, one per vertex a in ascending
+order: the middle vertex a, or the middle edges (a, b) with b > a.  No
+later round has a at either end, so a vertex's arm set lives until its
+last middle, at the end of its round, and is released there.
 
 The returned witness always comes from the walker run from every start
 vertex in turn, so it is the lexicographically least one and
@@ -154,34 +159,37 @@ def _meet_in_the_middle(nbrs: Adjacency, k: int) -> Iterator[bool | None]:
             arms = built[v] = _ArmSet(nbrs, v, length)
         return arms
 
-    if (k - 1) % 2 == 0:
-        # a middle vertex meets its own arms; a new arm meets itself, so
-        # only earlier arms can be free
-        middles = ((arms_of(v), 0, arms_of(v), 0) for v in range(len(nbrs)))
-    else:
-        # a middle edge (a, b) closes its color and its far end to each
-        # side: bits holds b and the color, and b's side swaps b for a
-        middles = (
-            (arms_of(a), bits, arms_of(b), bits ^ (1 << a) ^ (1 << b))
-            for a, lst in enumerate(nbrs)
-            for b, bits in lst
-            if a < b
-        )
-    for x, x_avoid, y, y_avoid in middles:
-        sides = ((x, x_avoid, y, y_avoid), (y, y_avoid, x, x_avoid))
-        near, avoid, other, other_avoid = min(sides, key=lambda side: len(side[0].arms))
-        for arm in near.arms:
-            if not arm & avoid and other.free(arm | other_avoid):
-                yield True
-                return
-            yield None
-        while not (x.done and y.done):
-            for near, avoid, other, other_avoid in sides:
-                if (arm := near.grow()) is not None:
-                    if not arm & avoid and other.free(arm | other_avoid):
-                        yield True
-                        return
-                    yield None
+    for a, lst in enumerate(nbrs):
+        if (k - 1) % 2 == 0:
+            # a middle vertex meets its own arms; a new arm meets itself,
+            # so only earlier arms can be free
+            middles = ((arms_of(a), 0, arms_of(a), 0),)
+        else:
+            # a middle edge (a, b) closes its color and its far end to each
+            # side: bits holds b and the color, and b's side swaps b for a
+            middles = (
+                (arms_of(a), bits, arms_of(b), bits ^ (1 << a) ^ (1 << b))
+                for b, bits in lst
+                if a < b
+            )
+        for x, x_avoid, y, y_avoid in middles:
+            sides = ((x, x_avoid, y, y_avoid), (y, y_avoid, x, x_avoid))
+            near, avoid, other, other_avoid = min(sides, key=lambda side: len(side[0].arms))
+            for arm in near.arms:
+                if not arm & avoid and other.free(arm | other_avoid):
+                    yield True
+                    return
+                yield None
+            while not (x.done and y.done):
+                for near, avoid, other, other_avoid in sides:
+                    if (arm := near.grow()) is not None:
+                        if not arm & avoid and other.free(arm | other_avoid):
+                            yield True
+                            return
+                        yield None
+        # every later middle lies above a, so a's arms are done with; the
+        # names above still holding them are rebound by the next middle
+        built[a] = None
     yield False
 
 

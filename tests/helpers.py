@@ -1,10 +1,17 @@
 """Reference code the tests share: an edge-by-edge generator of small
 graphs without isolated vertices, independent of the canonical-augmentation
 ladder, a re-derivation of the frozen construction colorings, vertex
-relabelling, rainbow-witness replay, and a whole filtered level at once."""
+relabelling, rainbow-witness replay, a whole filtered level at once, and
+a fresh interpreter that imports this checkout's rbturan."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import rbturan
 from rbturan.colorer import find_coloring
 from rbturan.constructions import FAMILY_TABLE
 from rbturan.extremal import candidate_blocks
@@ -127,3 +134,13 @@ def regenerate_frozen(family: str) -> ColoredGraph:
     if not out.sat:  # pragma: no cover - both graphs are class 1
         raise GraphError(f"{family} admits no proper Delta-edge-coloring?")
     return out.certificate
+
+
+def fresh_python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's rbturan."""
+    src = str(Path(rbturan.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )

@@ -15,6 +15,8 @@ from rbturan.generation import LevelLadder
 from rbturan.graphs import build_graph
 from rbturan.planarity import is_planar
 
+from helpers import fresh_python
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -32,6 +34,15 @@ def test_every_tracer_target_resolves():
             assert hasattr(owner, part), (module_name, attr, name)
             owner = getattr(owner, part)
         assert callable(owner), (module_name, attr, name)
+
+
+def test_importing_the_cli_loads_every_tracer_target():
+    """The tracer reads each target module from sys.modules right after
+    `import rbturan.cli`, so none of them may be imported lazily."""
+    modules = {module_name for module_name, _attr, _name, _value in _targets()}
+    done = fresh_python("-c", "import sys, rbturan.cli; print(*sorted(sys.modules))")
+    assert done.returncode == 0, done.stderr
+    assert modules - set(done.stdout.split()) == set()
 
 
 def test_tracer_values_read_the_results_they_name():

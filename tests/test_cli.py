@@ -3,20 +3,17 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import rbturan
 from rbturan import __version__, cli, extremal
 from rbturan.cli import run
 from rbturan.codec import encode_colored, encode_graph6
-from rbturan.constructions import g5, gn
+from rbturan.constructions import double_wheel, g5, gn
 from rbturan.generation import LevelLadder
 from rbturan.graphs import ColoredGraph, GraphError, build_graph
+
+from helpers import fresh_python
 
 
 # the built-in cap; the cap tests derive every case from it
@@ -706,25 +703,15 @@ def test_usage_error_exits_2_with_its_message(capsys, monkeypatch, tmp_path, arg
     assert captured.err.endswith(f"error: {message}\n"), captured.err
 
 
-def _python(*argv):
-    """Run a fresh interpreter that imports this checkout's rbturan."""
-    src = str(Path(rbturan.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, *argv],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
-    )
-
-
 def test_module_entry_exits_with_the_verdict():
     """`python -m rbturan` hands run()'s exit code to the interpreter."""
-    done = _python("-m", "rbturan", "--version")
+    done = fresh_python("-m", "rbturan", "--version")
     assert done.returncode == 0 and __version__ in done.stdout
-    done = _python("-m", "rbturan", "extremal", "-n", "6", "-k", "3", "--expect", "4")
+    done = fresh_python("-m", "rbturan", "extremal", "-n", "6", "-k", "3", "--expect", "4")
     assert done.returncode == 1, done.stderr
     lines = done.stdout.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["subcommand"] == "extremal"
-    done = _python("-m", "rbturan", "refute", "-n", "5", "-m", "8", "-k", "2")
+    done = fresh_python("-m", "rbturan", "refute", "-n", "5", "-m", "8", "-k", "2")
     assert done.returncode == 2 and done.stdout == ""
 
 
@@ -736,10 +723,46 @@ def test_module_entry_exits_with_the_verdict():
 def test_cli_start_does_not_import_multiprocessing(argv):
     """Every search runs in one process, so starting the CLI loads no
     process machinery."""
-    done = _python("-X", "importtime", *argv)
+    done = fresh_python("-X", "importtime", *argv)
     assert done.returncode == 0, done.stderr
     # -X importtime writes one "import time: self | cumulative | name" line per module
     names = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
              if line.startswith("import time:")}
     assert "rbturan.cli" in names
     assert "multiprocessing" not in names
+
+
+# runs cli.run in the child, then names on stderr, as its last line, the
+# OpenSSL-backed modules the run loaded
+_RUN_AND_LIST_HASHLIB = """\
+import sys
+from rbturan.cli import run
+try:
+    run(sys.argv[1:])
+except SystemExit:  # --version exits from the parser
+    pass
+sys.stderr.write("\\n" + " ".join(m for m in ("_hashlib", "hashlib") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["refute", "-n", "6", "-m", "10", "-k", "5"],
+        ["extremal", "-n", "6", "-k", "5"],
+        ["validate", "-k", "8", "--input", "{cert}"],
+        ["color", "-k", "5", "--input", "{g6}"],
+    ],
+    ids=["version", "refute", "extremal", "validate", "color"],
+)
+def test_no_run_loads_openssl(tmp_path, argv):
+    """The level digest takes SHA-256 from the interpreter's own module, so
+    no subcommand maps OpenSSL's libcrypto."""
+    cert, g6 = tmp_path / "cert.json", tmp_path / "g.g6"
+    cert.write_text(encode_colored(double_wheel(10)) + "\n")
+    g6.write_text(encode_graph6(gn(8).graph) + "\n")
+    argv = [arg.format(cert=cert, g6=g6) for arg in argv]
+    done = fresh_python("-c", _RUN_AND_LIST_HASHLIB, *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.rsplit("\n", 1)[1] == "", done.stderr

@@ -307,6 +307,17 @@ def test_blocks_of_a_file_fed_level_add_up_to_the_whole_level(monkeypatch, tmp_p
     assert lv.first_sat == (sat[0], outcomes[sat[0]].certificate)
 
 
+def test_level_digest_sha256_matches_hashlib():
+    """The digest's SHA-256, the interpreter's own module rather than
+    hashlib's OpenSSL one, agrees with hashlib fed in many pieces."""
+    rng = random.Random(7)
+    pieces = [rng.randbytes(rng.randrange(200)) for _ in range(2000)]
+    digest = extremal.sha256()
+    for piece in pieces:
+        digest.update(piece)
+    assert digest.hexdigest() == hashlib.sha256(b"".join(pieces)).hexdigest()
+
+
 def _live_graphs() -> int:
     return sum(isinstance(obj, Graph) for obj in gc.get_objects())
 

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 
 import pytest
 
 from rbturan.colorer import iter_coloring_classes
+from rbturan.constructions import double_wheel
 from rbturan.graphs import (
     ColoredGraph,
     GraphError,
@@ -272,3 +274,40 @@ def test_least_path_found_at_once_builds_few_arms(monkeypatch, n, k):
     cg = _round_robin_k(n)
     witness = find_rainbow_path(cg, k)
     assert witness is not None and witness.vertices == tuple(range(k))
+
+
+@pytest.mark.parametrize(
+    "cg, k",
+    [(double_wheel(12), 8), (double_wheel(12), 9), (build_colored_graph(5, G5_TRIPLES), 5)],
+    ids=["double-wheel-12-edge-middles", "double-wheel-12-vertex-middles", "g5-vertex-middles"],
+)
+def test_arm_sets_are_released_after_their_round(monkeypatch, cg, k):
+    """The meet in the middle runs a round of middles per vertex a,
+    ascending; no later middle has a at either end, so a's arm set is gone
+    once its round is over.  Every graph here is rainbow-P_k-free, so the
+    meet runs every round."""
+    live: list[tuple[int, weakref.ref]] = []
+
+    class Tracked(rainbow._ArmSet):
+        def __init__(self, nbrs, v, length):
+            super().__init__(nbrs, v, length)
+            live.append((v, weakref.ref(self)))
+
+    monkeypatch.setattr(rainbow, "_ArmSet", Tracked)
+    meet = _meet_in_the_middle(_colored_adjacency(cg), k)
+    rounds = []
+    for answer in meet:
+        if answer is not None:
+            break
+        a = meet.gi_frame.f_locals["a"]  # the vertex whose round is running
+        rounds.append(a)
+        alive = sorted(v for v, ref in live if ref() is not None)
+        assert alive and alive[0] == a, (a, alive)
+        if (k - 1) % 2 == 0:
+            assert alive == [a]  # a middle vertex meets only its own arms
+    assert answer is False
+    assert rounds == sorted(rounds) and len(set(rounds)) > 1
+    # built once each: a released set is never built again
+    assert sorted(v for v, _ref in live) == list(range(cg.n))
+    del meet
+    assert all(ref() is None for _v, ref in live)
