@@ -57,8 +57,7 @@ deep, so the depth of the search is not bounded by the recursion limit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .graphs import ColoredGraph, Graph, GraphError, normalize_colors
 
@@ -75,8 +74,7 @@ class OracleSizeError(GraphError):
 Bucket = tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: str  # SAT | UNSAT | BUDGET_EXCEEDED
     certificate: ColoredGraph | None
     nodes: int
@@ -427,15 +425,22 @@ class _Group:
 
 
 def search_keys(
-    keys: bytes, size: int, n: int, k: int, graph_of: Callable[[int], Graph]
+    keys: bytes,
+    size: int,
+    n: int,
+    k: int,
+    graph_of: Callable[[int], Graph],
+    node_budget: int | None = None,
 ) -> list[SearchOutcome]:
     """`find_coloring` with the default color bound on each of `size`
     graphs on n vertices with one number of edges, given by their keys
     alone, sorted and joined (see `search_key`), in one search over their
     shared position prefixes: the outcome of each, in key order.
     graph_of(i) gives the graph of the i-th key; it is asked for only when
-    that graph is SAT, for its certificate."""
-    return _Group(keys, size, n, k, None).outcomes(graph_of) if size else []
+    that graph is SAT, for its certificate.  A node budget bounds the
+    tries of the whole group, so it is one graph's budget only in a group
+    of one."""
+    return _Group(keys, size, n, k, None).outcomes(graph_of, node_budget) if size else []
 
 
 def find_colorings(

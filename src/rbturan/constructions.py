@@ -28,8 +28,7 @@ transcription slip cannot pass silently.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .graphs import (
     ColoredGraph,
@@ -43,8 +42,7 @@ from .planarity import is_planar, planar_edge_cap
 from .rainbow import find_rainbow_path
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     edge_count: int
     expected_edges: int
     proper: bool
@@ -63,7 +61,7 @@ class ValidationReport:
         )
 
     def to_doc(self) -> dict[str, Any]:
-        return {**asdict(self), "passed": self.passed}
+        return {**self._asdict(), "passed": self.passed}
 
 
 def matching(n: int) -> ColoredGraph:
@@ -226,8 +224,7 @@ def icosahedron() -> ColoredGraph:
     return ColoredGraph(g, ICOSAHEDRON_COLORS)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """The facts of one family, each stated once: its builder (called with
     n, or with nothing for a fixed graph), the k of the rainbow P_k it is
     built to avoid, its edge count as a function of n, its fixed vertex

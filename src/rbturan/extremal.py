@@ -30,17 +30,16 @@ block of graphs however long the file is; a built-in level's graphs are
 held by the ladder that made them: the full ladder of its vertex count,
 kept for the process, or for a reduced level a degree-window ladder that
 holds only that level and goes with it.  A node budget holds per graph,
-so a budgeted level searches its graphs one at a time, in source order,
-as they stream.
+so a budgeted level is searched in key order too, each key a group of
+one under its own budget.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from .codec import (
     colored_to_doc,
@@ -54,7 +53,6 @@ from .colorer import (
     SAT,
     UNSAT,
     SearchOutcome,
-    find_coloring,
     search_key,
     search_keys,
 )
@@ -181,8 +179,7 @@ def candidate_blocks(
         yield block
 
 
-@dataclass(frozen=True)
-class LevelReport:
+class LevelReport(NamedTuple):
     """Outcome of running the coloring search on every candidate of one
     (n, m) level."""
 
@@ -222,7 +219,9 @@ _STATUSES = (UNSAT, SAT, BUDGET_EXCEEDED)
 
 
 # a function of its own because bench/tracing.py wraps it by name to time each block's search
-def _solve_chunk(keys: bytes, lines: bytes, n: int, k: int) -> list[SearchOutcome]:
+def _solve_chunk(
+    keys: bytes, lines: bytes, n: int, k: int, node_budget: int | None = None
+) -> list[SearchOutcome]:
     """Run the coloring search on one block of candidates as one group
     (see `colorer.search_keys`), given by their keys and by their graph6
     lines, each joined in key order: the outcome of each, in that order.
@@ -233,7 +232,7 @@ def _solve_chunk(keys: bytes, lines: bytes, n: int, k: int) -> list[SearchOutcom
     def graph_of(i: int) -> Graph:
         return decode_graph6(lines[i * width : i * width + width].decode())
 
-    return search_keys(keys, len(lines) // width, n, k, graph_of)
+    return search_keys(keys, len(lines) // width, n, k, graph_of, node_budget)
 
 
 def _front_coded(keys: list[bytes]) -> bytes:
@@ -268,12 +267,13 @@ def _decoded(run: bytes, length: int, base: int) -> Iterator[tuple[bytes, int]]:
 
 
 def _search_in_key_order(
-    blocks: Iterator[list[tuple[str, Graph]]], n: int, k: int
+    blocks: Iterator[list[tuple[str, Graph]]], n: int, k: int, node_budget: int | None
 ) -> tuple[bytearray, bytearray, int, tuple[int, ColoredGraph] | None]:
     """Search every candidate of blocks, in blocks of BLOCK consecutive
-    keys: the candidates' graph6 lines joined and their outcomes (indices
-    into _STATUSES), both in source order, the node total and the first
-    SAT candidate with its certificate.
+    keys, or one key at a time under a node budget, which holds per
+    graph: the candidates' graph6 lines joined and their outcomes
+    (indices into _STATUSES), both in source order, the node total and
+    the first SAT candidate with its certificate.
 
     As the blocks stream in, each candidate leaves its line and, in its
     block's run of keys sorted and front-coded, its key, and its graph is
@@ -297,38 +297,20 @@ def _search_in_key_order(
     merged = heapq.merge(*runs)
     statuses = bytearray(count)
     nodes, first_sat = 0, None
+    size = BLOCK if node_budget is None else 1
     while True:
         group, members = bytearray(), []
-        for key, i in islice(merged, BLOCK):
+        for key, i in islice(merged, size):
             group += key
             members.append(i)
         if not members:
             break
         joined = b"".join([lines[i * width : i * width + width] for i in members])
-        for i, out in zip(members, _solve_chunk(group, joined, n, k)):
+        for i, out in zip(members, _solve_chunk(group, joined, n, k, node_budget)):
             statuses[i] = _STATUSES.index(out.status)
             nodes += out.nodes
             if out.sat and (first_sat is None or i < first_sat[0]):
                 first_sat = (i, out.certificate)
-    return lines, statuses, nodes, first_sat
-
-
-def _search_in_line_order(
-    blocks: Iterator[list[tuple[str, Graph]]], k: int, node_budget: int
-) -> tuple[bytearray, bytearray, int, tuple[int, ColoredGraph] | None]:
-    """What `_search_in_key_order` gives, for a search whose node budget
-    holds per graph: one graph at a time, in source order, as the blocks
-    stream in."""
-    lines, statuses = bytearray(), bytearray()
-    nodes, first_sat = 0, None
-    for block in blocks:
-        for line, g in block:
-            out = find_coloring(g, k, node_budget=node_budget)
-            if out.sat and first_sat is None:
-                first_sat = (len(statuses), out.certificate)
-            lines += line.encode()
-            statuses.append(_STATUSES.index(out.status))
-            nodes += out.nodes
     return lines, statuses, nodes, first_sat
 
 
@@ -345,18 +327,15 @@ def run_level(
     """Run the complete coloring search over every filtered candidate of
     the (n, m) level.  The level PASSes when every candidate is UNSAT;
     any budget-exceeded outcome poisons the level (BUDGET), it is never
-    silently dropped.  The candidates are searched in key order (or in
-    source order under a budget), and the report is made in source order."""
+    silently dropped.  The candidates are searched in key order, and the
+    report is made in source order."""
     if m < 0:
         raise GraphError(f"need m >= 0, got m={m}")
     if k < 3:
         raise GraphError(f"need k >= 3, got k={k}")
     counts: dict[str, int] = {}
     blocks = candidate_blocks(n, m, counts, reduced=reduced, planar=planar, graph6_path=graph6_path)
-    if node_budget is None:
-        lines, statuses, nodes, first_sat = _search_in_key_order(blocks, n, k)
-    else:
-        lines, statuses, nodes, first_sat = _search_in_line_order(blocks, k, node_budget)
+    lines, statuses, nodes, first_sat = _search_in_key_order(blocks, n, k, node_budget)
     width = graph6_width(n)
     names = [status.encode() for status in _STATUSES]
     digest = sha256()  # over the lines "i:graph6:status", joined by "\n"
@@ -385,8 +364,7 @@ def run_level(
     )
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
+class ExtremalReport(NamedTuple):
     n: int
     k: int
     value: int

@@ -2,17 +2,19 @@
 
 Vertices are always 0..n-1.  Edges are stored canonically: each pair as
 (min, max), the whole edge tuple sorted lexicographically.  A `Graph` is
-a slotted value of exactly `n` and `edges`, so it holds no views beside
-them; `masks()` and `degrees()` derive the adjacency bitmasks and the
-degree sequence afresh on each call.  Values are immutable after
-construction.
+the tuple of exactly `n` and `edges`, so it holds no views beside them;
+`masks()` and `degrees()` derive the adjacency bitmasks and the degree
+sequence afresh on each call.  Values are immutable after construction.
+
+The records here and across the package are `typing.NamedTuple`s: a
+record equals the plain tuple of its fields, `_replace` makes a changed
+copy and `_asdict` a dict of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from bisect import bisect_left
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -27,8 +29,7 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True, slots=True)
-class Graph:
+class Graph(NamedTuple):
     """An undirected simple graph: vertex count plus canonical edge tuple."""
 
     n: int
@@ -70,8 +71,7 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(sorted(seen)))
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
+class ColoredGraph(NamedTuple):
     """A Graph with a total edge -> color assignment.
 
     ``colors[i]`` is the positive color id of ``graph.edges[i]``.
@@ -88,16 +88,14 @@ class ColoredGraph:
     def edges(self) -> tuple[Edge, ...]:
         return self.graph.edges
 
-    @cached_property
-    def color_map(self) -> dict[Edge, int]:
-        return dict(zip(self.graph.edges, self.colors))
-
     def color_of(self, u: int, v: int) -> int:
+        # the edges are sorted, so an edge is found by bisection
         e = canonical_edge(u, v)
-        try:
-            return self.color_map[e]
-        except KeyError:
-            raise GraphError(f"({u},{v}) is not an edge") from None
+        edges = self.graph.edges
+        i = bisect_left(edges, e)
+        if i == len(edges) or edges[i] != e:
+            raise GraphError(f"({u},{v}) is not an edge")
+        return self.colors[i]
 
     def colors_used(self) -> int:
         return len(set(self.colors))

@@ -10,20 +10,18 @@ graph automorphism, because the facts are phrased on labeled vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .colorer import iter_coloring_classes
 from .graphs import ColoredGraph, Graph, GraphError, build_graph
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(NamedTuple):
     """A labeled graph and its predicates: coloring -> named flags."""
 
     graph: Graph
-    labels: dict[str, int] = field(hash=False)
-    predicates: Callable[[Template, ColoredGraph], dict[str, bool]] = field(hash=False)
+    labels: dict[str, int]
+    predicates: Callable[[Template, ColoredGraph], dict[str, bool]]
 
     def color(self, cg: ColoredGraph, a: str, b: str) -> int:
         return cg.color_of(self.labels[a], self.labels[b])
@@ -130,13 +128,12 @@ def template(template_id: str) -> Template:
         raise GraphError(f"unknown template {template_id!r}") from None
 
 
-@dataclass(frozen=True)
-class SchemeClass:
+class SchemeClass(NamedTuple):
     """One color-renaming class of valid colorings of a template, with the
     per-lemma predicate flags it satisfies."""
 
     representative: ColoredGraph
-    predicate_flags: dict[str, bool] = field(hash=False)
+    predicate_flags: dict[str, bool]
 
 
 def enumerate_schemes(t: Template, k: int = 5) -> list[SchemeClass]:
@@ -145,8 +142,7 @@ def enumerate_schemes(t: Template, k: int = 5) -> list[SchemeClass]:
     return [SchemeClass(rep, t.predicates(t, rep)) for rep in iter_coloring_classes(t.graph, k)]
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     lemma_id: str
     template_id: str
     k: int

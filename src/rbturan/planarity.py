@@ -56,7 +56,7 @@ need 5,812 drawings, of only 1,716 distinct kernels.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph
 
@@ -64,8 +64,7 @@ from .graphs import Graph
 DRAWS_MEMO = 4096
 
 
-@dataclass(frozen=True)
-class PlanarityVerdict:
+class PlanarityVerdict(NamedTuple):
     planar: bool
 
     def __bool__(self) -> bool:

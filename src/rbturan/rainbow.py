@@ -34,14 +34,12 @@ whose least path is found at once never builds the arms in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graphs import ColoredGraph, GraphError, normalize_colors
 
 
-@dataclass(frozen=True)
-class RainbowWitness:
+class RainbowWitness(NamedTuple):
     """An explicit rainbow path: the vertex sequence and its edge colors."""
 
     vertices: tuple[int, ...]

@@ -16,7 +16,7 @@ from rbturan.colorer import find_coloring
 from rbturan.constructions import FAMILY_TABLE
 from rbturan.extremal import candidate_blocks
 from rbturan.generation import canonical_form
-from rbturan.graphs import ColoredGraph, Graph, GraphError, build_graph, canonical_edge
+from rbturan.graphs import ColoredGraph, Graph, GraphError, build_graph
 from rbturan.rainbow import RainbowWitness
 
 
@@ -49,9 +49,10 @@ def replay_witness(cg: ColoredGraph, w: RainbowWitness, k: int) -> bool:
     if len(vs) != k or len(set(vs)) != k or len(w.colors) != k - 1:
         return False
     for i in range(k - 1):
-        u, v = vs[i], vs[i + 1]
-        # a non-edge has no color, and color ids are positive
-        if cg.color_map.get(canonical_edge(u, v)) != w.colors[i]:
+        try:
+            if cg.color_of(vs[i], vs[i + 1]) != w.colors[i]:
+                return False
+        except GraphError:  # a non-edge has no color
             return False
     return len(set(w.colors)) == k - 1
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 
@@ -406,7 +405,7 @@ def test_searched_achiever_passes_the_construction_gate(capsys, monkeypatch):
 
     def one_color(*args):
         return [
-            dataclasses.replace(out, certificate=monochrome(out.certificate)) if out.sat else out
+            out._replace(certificate=monochrome(out.certificate)) if out.sat else out
             for out in solve(*args)
         ]
 
@@ -483,6 +482,28 @@ def test_graph6_file_error_after_the_first_block(capsys, monkeypatch, tmp_path, 
     assert code == 2 and out == ""
     assert searched == []
     assert err == "error: " + message.format(path=path) + "\n"
+
+
+def test_budgeted_graph6_file_error_before_any_search(capsys, monkeypatch, tmp_path):
+    # a budgeted level is searched in key order too, one key at a time, so
+    # a bad line fails before any candidate is searched
+    lines = [encode_graph6(g) for g in LevelLadder(6).level(9)]
+    path = tmp_path / "level.g6"
+    path.write_text("".join(line + "\n" for line in lines + ["D?"]))
+    solve, searched = extremal._solve_chunk, []
+    monkeypatch.setattr(
+        extremal, "_solve_chunk", lambda block, *rest: searched.append(block) or solve(block, *rest)
+    )
+    argv = ["refute", "-n", "6", "-m", "9", "-k", "5", "--from-graph6", str(path)]
+    code, out, err = invoke(capsys, *argv, "--budget-nodes", "1000")
+    assert (code, out, searched) == (2, "", [])
+    bad_line = len(lines) + 1
+    assert err == f"error: {path}:{bad_line}: graph6 body has 1 characters, expected 2 for n=5\n"
+    # and with the bad line gone, every candidate is a group of its own
+    path.write_text("".join(line + "\n" for line in lines))
+    code, out, _ = invoke(capsys, *argv, "--budget-nodes", "1000")
+    # 9 edges is floor(3n/2) at n=6, so some candidate is SAT
+    assert code == 1 and len(searched) == parse(out)["counts"]["planar"] > 1
 
 
 # three (9,14) graphs: a path with six chords from one vertex
@@ -732,16 +753,17 @@ def test_cli_start_does_not_import_multiprocessing(argv):
     assert "multiprocessing" not in names
 
 
-# runs cli.run in the child, then names on stderr, as its last line, the
-# OpenSSL-backed modules the run loaded
-_RUN_AND_LIST_HASHLIB = """\
+# runs cli.run in the child, then names on stderr, as its last line, each
+# module of `unwanted` that the run loaded
+_RUN_AND_LIST_UNWANTED = """\
 import sys
 from rbturan.cli import run
 try:
     run(sys.argv[1:])
 except SystemExit:  # --version exits from the parser
     pass
-sys.stderr.write("\\n" + " ".join(m for m in ("_hashlib", "hashlib") if m in sys.modules))
+unwanted = ("_hashlib", "hashlib", "dataclasses", "inspect")
+sys.stderr.write("\\n" + " ".join(m for m in unwanted if m in sys.modules))
 """
 
 
@@ -758,11 +780,12 @@ sys.stderr.write("\\n" + " ".join(m for m in ("_hashlib", "hashlib") if m in sys
 )
 def test_no_run_loads_openssl(tmp_path, argv):
     """The level digest takes SHA-256 from the interpreter's own module, so
-    no subcommand maps OpenSSL's libcrypto."""
+    no subcommand maps OpenSSL's libcrypto; and the records are NamedTuples,
+    so none imports dataclasses, or inspect through it."""
     cert, g6 = tmp_path / "cert.json", tmp_path / "g.g6"
     cert.write_text(encode_colored(double_wheel(10)) + "\n")
     g6.write_text(encode_graph6(gn(8).graph) + "\n")
     argv = [arg.format(cert=cert, g6=g6) for arg in argv]
-    done = fresh_python("-c", _RUN_AND_LIST_HASHLIB, *argv)
+    done = fresh_python("-c", _RUN_AND_LIST_UNWANTED, *argv)
     assert done.returncode == 0, done.stderr
     assert done.stderr.rsplit("\n", 1)[1] == "", done.stderr

@@ -52,6 +52,13 @@ COMMANDS: dict[str, list[str]] = {
     "refute-5-8-5-unfiltered": [
         "refute", "-n", "5", "-m", "8", "-k", "5", "--no-reduced", "--no-planar",
     ],
+    # under a node budget each candidate is searched as a group of one
+    "refute-8-13-5-budget-500": [
+        "refute", "-n", "8", "-m", "13", "-k", "5", "--budget-nodes", "500",
+    ],
+    "refute-7-10-5-unreduced-budget-30": [
+        "refute", "-n", "7", "-m", "10", "-k", "5", "--no-reduced", "--budget-nodes", "30",
+    ],
     "color-5-C~": ["color", "-k", "5", "--graph6", "C~"],
     "color-5-input-C~": ["color", "-k", "5", "--input", ONE_GRAPH],
     "color-8-double-wheel-18": [
@@ -115,6 +122,8 @@ GOLDEN: dict[str, tuple[int, str]] = {
     "lemma-bowtie-k6-violations": (1, "1dd45f72ba254364321aa9d6703fc5713a73d33181c66ae301150e99d88315ba"),
     "refute-5-8-5-unfiltered": (0, "05fc893bb2718ef762a84de7a66221e68a6e3db993abb8a73426da0acca769ae"),
     "refute-6-10-5": (0, "8fe2b641d1bb20818a82c4294b0582b1d19088f423b5bf8efaacecf3d09fb01f"),
+    "refute-7-10-5-unreduced-budget-30": (1, "5b548500cbc805cc821274d15bdfb2121cdae57fc842571f30b44cc556a9e2ca"),
+    "refute-8-13-5-budget-500": (0, "e3f459e4d6f95019d1c4d59674ff74dc1ed2a73b9c051e872bb2848cb530a66a"),
     "validate-gn12": (0, "ce33f846f0e12c58808fa6b1361e0cbcbd28ae098f20fb8aed1b898085be56eb"),
 }
 

@@ -32,7 +32,7 @@ def test_build_k4():
 def test_graph_is_a_slotted_value():
     g = Graph(3, ((0, 1),))
     assert not hasattr(g, "__dict__")
-    assert Graph.__slots__ == ("n", "edges")
+    assert Graph._fields == ("n", "edges")
 
 
 def test_ladder_level_round_trips_through_pickle():
